@@ -31,7 +31,7 @@ from repro.schemes import make_scheme
 
 
 def _default_executor_kind(scheme_keys, engine):
-    """Threads only when every scheme runs its GIL-releasing kernel."""
+    """Threads only when every scheme runs its batch kernel."""
     if engine == "object":
         return "process"
     if engine == "kernel":
@@ -51,8 +51,7 @@ def main():
     parser.add_argument(
         "--executor", choices=["process", "thread"], default=None,
         help="worker kind when --workers > 1 (default: thread for "
-             "kernel-engine runs — they release the GIL — and process "
-             "for --engine object, which would serialize on threads)",
+             "kernel-engine runs and process for --engine object)",
     )
     parser.add_argument(
         "--engine", choices=list(ENGINES), default="auto",

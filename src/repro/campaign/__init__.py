@@ -1,11 +1,12 @@
 """Campaign service: sharded result store + mixed-pool orchestrator.
 
 This package scales the evaluation harness from "a grid in one
-process" to "a campaign of millions of cells sharded across processes
-and threads with crash-resume". Three layers:
+process" to campaigns fanned out across processes and threads with
+crash-resume. Four layers:
 
 * :mod:`repro.campaign.store` — :class:`ShardedResultStore`, the
-  chunked append-only result store;
+  chunked append-only result store and the library's only store
+  (every ``cache_dir=`` / ``--cache-dir`` opens one);
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, the declarative
   (schemes x PECs x workloads) campaign description, JSON
   round-trippable and :meth:`GridRunner.plan`-compatible; plus
@@ -37,11 +38,8 @@ without losing records (see :mod:`repro.campaign.store`).
 Store layout
 ============
 
-One JSON file per cell (:class:`~repro.harness.cache.ResultCache`)
-collapses past a few thousand cells — directory scans, inode pressure,
-one ``os.replace`` per cell. The sharded store instead appends records
-to a bounded number of JSONL segment files, sharded by fingerprint
-prefix::
+The store appends records to a bounded number of JSONL segment
+files, sharded by fingerprint prefix::
 
     <root>/
         store.json              manifest: {"version", "prefix_len",
@@ -70,7 +68,7 @@ wins, so overwrites never rewrite history and a torn final line (a
 crash mid-append) is skipped on load without losing earlier records.
 
 Compaction (``gc``/``compact``, surfaced as ``python -m repro campaign
-compact`` and honouring the same knobs as ``cache gc``) rewrites a
+compact`` and ``cache gc``, which share one handler) rewrites a
 shard's live records — the newest healthy record per surviving key —
 into one fresh segment *numbered after* every existing segment, then
 unlinks the old ones; a crash between the two steps leaves duplicate
@@ -79,7 +77,9 @@ crash-safe without a directory-wide lock.
 
 Records carry :data:`~repro.harness.cache.CACHE_VERSION`; entries
 written under an older version read as misses (and are dropped at
-compaction), exactly like the one-file-per-cell cache.
+compaction). A store created over a directory of legacy
+``<fingerprint>.json`` cache files imports the healthy ones once
+(see :mod:`repro.campaign.store`).
 """
 
 from repro.campaign.orchestrator import (

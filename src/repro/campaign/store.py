@@ -3,16 +3,23 @@
 :class:`ShardedResultStore` implements the
 :class:`~repro.harness.store.ResultStore` contract at campaign scale:
 records append to JSONL segment files sharded by fingerprint prefix
-(layout documented in :mod:`repro.campaign`), so a million-cell
-campaign touches a few hundred files instead of a million, and every
-``put`` is one atomic ``O_APPEND`` write instead of a tmp-file dance.
+(layout documented in :mod:`repro.campaign`): every ``put`` is one
+atomic ``O_APPEND`` write, and a campaign's records live in a bounded
+number of segment files. It is the library's only result store —
+every ``cache_dir=`` and ``--cache-dir`` opens one.
+
+Legacy import: a store *created* (no ``store.json`` manifest yet) in a
+directory that holds ``<fingerprint>.json`` files from the former
+one-file-per-entry cache imports every healthy, current-version entry
+once, with its meta. Stale and corrupt files are skipped, exactly as
+they missed before, and no legacy file is deleted.
 
 Durability model: the last record per key wins within a shard;
 overwrites append rather than rewrite; a torn final line (crash
 mid-append) is skipped on load; compaction writes the merged segment
 *before* unlinking the old ones, so every intermediate crash state
 still reads correctly. Stale-:data:`~repro.harness.cache.CACHE_VERSION`
-records read as misses, exactly like the one-file-per-cell cache.
+records read as misses.
 
 Integrity: every record written by this library version carries a
 CRC32 (``"crc"``) over a canonical serialization of its key + report.
@@ -101,6 +108,7 @@ _LOCKFILE = "store.lock"
 _GENERATION = "store.gen"
 _DEFAULT_PREFIX_LEN = 2
 _DEFAULT_SEGMENT_MAX_BYTES = 4 * 1024 * 1024
+_HEX = frozenset("0123456789abcdef")
 
 
 class _Record(NamedTuple):
@@ -193,7 +201,9 @@ class ShardedResultStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.RLock()
         self._shards: Dict[str, _Shard] = {}
-        self._faults = fault_injector or NO_FAULTS
+        # Armed only after the legacy import, so imported puts never
+        # consume a fault plan's put ordinals.
+        self._faults = NO_FAULTS
         self._lock_fd: Optional[int] = None
         self._flock_depth = 0
         self._generation = self._read_generation_file()
@@ -212,6 +222,10 @@ class ShardedResultStore:
                 )
             if self.segment_max_bytes < 1:
                 raise ConfigError("segment_max_bytes must be positive")
+            # Import before the manifest lands: a crash mid-import leaves
+            # no manifest, so the next open imports again (the repeated
+            # puts are benign last-wins overwrites).
+            self._import_legacy_entries()
             self._write_manifest()
         else:
             if (
@@ -229,6 +243,7 @@ class ShardedResultStore:
                 if segment_max_bytes is not None
                 else manifest["segment_max_bytes"]
             )
+        self._faults = fault_injector or NO_FAULTS
 
     # --- manifest -----------------------------------------------------------
 
@@ -263,6 +278,32 @@ class ShardedResultStore:
             encoding="utf-8",
         )
         os.replace(tmp, path)
+
+    def _import_legacy_entries(self) -> None:
+        """Put every healthy ``<fingerprint>.json`` legacy cache entry.
+
+        Stale, corrupt and undecodable files are skipped — they were
+        misses under the per-file cache too — and every file is left
+        on disk.
+        """
+        for path in sorted(self.root.glob("*.json")):
+            key = path.stem
+            if len(key) != 64 or not _HEX.issuperset(key):
+                continue
+            try:
+                data = json.loads(path.read_text(encoding="utf-8"))
+                if data.get("version") != CACHE_VERSION:
+                    continue
+                report = result_from_json_dict(
+                    data.get("family", FAMILY_CELL), data["report"]
+                )
+            except (
+                OSError, ValueError, KeyError, TypeError, AttributeError,
+                ConfigError,
+            ):
+                continue
+            meta = data.get("meta")
+            self.put(key, report, meta=meta if isinstance(meta, dict) else None)
 
     def set_fault_injector(self, injector: FaultInjector) -> None:
         """Arm (or disarm, with :data:`~repro.faults.NO_FAULTS`) the
@@ -302,7 +343,7 @@ class ShardedResultStore:
             fcntl.flock(self._lock_fd, mode | fcntl.LOCK_NB)
         except OSError:
             # Contended: another process holds a conflicting mode.
-            metrics = store_metrics("sharded")
+            metrics = store_metrics()
             metrics.lock_waits(
                 "exclusive" if exclusive else "shared"
             ).inc()
@@ -340,12 +381,12 @@ class ShardedResultStore:
             self._generation = generation
             if self._shards:
                 self._shards.clear()
-                store_metrics("sharded").generation_rescans.inc()
+                store_metrics().generation_rescans.inc()
 
     def _rescan_shard(self, prefix: str) -> _Shard:
         """Force one shard's index to reload from disk."""
         if self._shards.pop(prefix, None) is not None:
-            store_metrics("sharded").generation_rescans.inc()
+            store_metrics().generation_rescans.inc()
         return self._shard(prefix)
 
     # --- sharding -----------------------------------------------------------
@@ -410,7 +451,7 @@ class ShardedResultStore:
                     # starts a fresh segment so it cannot concatenate
                     # onto the torn bytes.
                     shard.corrupt_lines += 1
-                    store_metrics("sharded").bad_entry("torn").inc()
+                    store_metrics().bad_entry("torn").inc()
                     break
                 self._index_line(
                     shard, path, blob[offset:end], offset, end + 1 - offset
@@ -433,13 +474,13 @@ class ShardedResultStore:
             data = json.loads(line)
         except ValueError:
             shard.corrupt_lines += 1
-            store_metrics("sharded").bad_entry("torn").inc()
+            store_metrics().bad_entry("torn").inc()
             return
         if not isinstance(data, dict) or not isinstance(
             data.get("key"), str
         ):
             shard.corrupt_lines += 1
-            store_metrics("sharded").bad_entry("torn").inc()
+            store_metrics().bad_entry("torn").inc()
             return
         key = data["key"]
         if key in shard.records:
@@ -448,9 +489,9 @@ class ShardedResultStore:
         stale = data.get("version") != CACHE_VERSION
         corrupt = "report" not in data
         if corrupt and not stale:
-            store_metrics("sharded").bad_entry("corrupt").inc()
+            store_metrics().bad_entry("corrupt").inc()
         elif stale:
-            store_metrics("sharded").bad_entry("stale").inc()
+            store_metrics().bad_entry("stale").inc()
         crc = data.get("crc")
         if not corrupt and crc is not None:
             if crc != record_checksum(key, data["report"]):
@@ -458,7 +499,7 @@ class ShardedResultStore:
                 # JSON — unusable, and distinct from a missing report.
                 corrupt = True
                 shard.checksum_failed += 1
-                store_metrics("sharded").bad_entry("checksum").inc()
+                store_metrics().bad_entry("checksum").inc()
         shard.records[key] = _Record(
             path=path,
             offset=offset,
@@ -501,7 +542,7 @@ class ShardedResultStore:
         (absent on legacy records, which read as grid cells), so one
         store holds grid-cell reports and lifetime curves side by side.
         """
-        metrics = store_metrics("sharded")
+        metrics = store_metrics()
         with self._lock:
             self._sync_generation()
             record = self._record(key)
@@ -564,7 +605,7 @@ class ShardedResultStore:
             json.dumps(record, separators=(",", ":")).encode("utf-8")
             + b"\n"
         )
-        metrics = store_metrics("sharded")
+        metrics = store_metrics()
         with self._lock:
             # Fault hooks (no-op branch by default): a crash-flavoured
             # fault raises InjectedFault before anything is durable; a
@@ -648,7 +689,9 @@ class ShardedResultStore:
     # --- inspection ---------------------------------------------------------
 
     def __len__(self) -> int:
-        """Retrievable entries only, like ``ResultCache.__len__``."""
+        """Retrievable entries only: corrupt and stale records read as
+        misses, so counting them would make resume-progress estimates
+        (and ``cache ls`` totals) lie after a crash."""
         with self._lock:
             return sum(1 for _ in self.keys())
 
@@ -663,9 +706,8 @@ class ShardedResultStore:
 
     def entries(self) -> List[CacheEntry]:
         """One :class:`CacheEntry` per key (its newest record), oldest
-        first — the same shape ``ResultCache.entries`` returns, so
-        ``cache ls``-style tooling and the gc policy code work on
-        either backend. ``path`` points at the record's segment file.
+        first, for ``cache ls`` and the gc policy. ``path`` points at
+        the record's segment file.
         """
         with self._lock:
             self._sync_generation()
@@ -692,7 +734,7 @@ class ShardedResultStore:
             prefixes = self._shard_prefixes()
             shards = [self._shard(prefix) for prefix in prefixes]
             data_bytes = sum(shard.data_bytes for shard in shards)
-            store_metrics("sharded").data_bytes.set(data_bytes)
+            store_metrics().data_bytes.set(data_bytes)
             family_counts: Dict[str, int] = {}
             for shard in shards:
                 for record in shard.records.values():
@@ -742,12 +784,18 @@ class ShardedResultStore:
         dry_run: bool = False,
         now: Optional[float] = None,
     ) -> GcResult:
-        """Prune entries with ``ResultCache.gc`` semantics.
+        """Prune entries; returns what was (or would be) removed.
 
-        Same policy knobs, same :class:`GcResult` — and because the
-        store is append-only, every non-dry run *rewrites* the shards
-        it touches (dropping superseded records and torn lines along
-        the way), so gc doubles as targeted compaction.
+        * ``older_than_s`` — drop entries older than this many seconds;
+        * ``max_entries`` — after the age pass, keep only the newest N
+          entries, ranking healthy entries above corrupt/stale ones;
+        * ``remove_corrupt`` — also drop corrupt/stale entries (they
+          read as misses anyway).
+
+        Because the store is append-only, every non-dry run *rewrites*
+        the shards it touches (dropping superseded records and torn
+        lines along the way), so gc doubles as targeted compaction.
+        ``dry_run=True`` reports without rewriting.
         """
         if max_entries is not None and max_entries < 0:
             raise ConfigError("max_entries must be >= 0")
@@ -774,8 +822,9 @@ class ShardedResultStore:
                     survivors.append(entry)
             if max_entries is not None and len(survivors) > max_entries:
                 # Healthy entries rank above corrupt/stale survivors in
-                # the keep-newest-N pass — the same ranking fix the
-                # one-file-per-cell cache applies.
+                # the keep-newest-N pass: the eviction head is every
+                # unusable survivor first, then the oldest healthy
+                # entries.
                 ranked = sorted(
                     survivors,
                     key=lambda entry: (
@@ -806,7 +855,7 @@ class ShardedResultStore:
             tmp_removed = self._sweep_tmp(now, dry_run)
             if not dry_run and doomed:
                 self._bump_generation()
-                store_metrics("sharded").gc_removed.inc(len(doomed))
+                store_metrics().gc_removed.inc(len(doomed))
         return GcResult(
             removed=tuple(doomed),
             kept=len(survivors),
@@ -861,7 +910,7 @@ class ShardedResultStore:
             + before.corrupt
         )
         if not dry_run:
-            metrics = store_metrics("sharded")
+            metrics = store_metrics()
             metrics.compactions.inc()
             metrics.reclaimed_bytes.inc(
                 max(0, before.data_bytes - after.data_bytes)

@@ -31,6 +31,9 @@ class TestPlatform:
     :mod:`repro.characterization.bake` for the Arrhenius equivalence).
     """
 
+    #: Not a pytest test class despite the ``Test`` prefix.
+    __test__ = False
+
     #: Pages per test block (only relevant for program/read bookkeeping).
     PAGES_PER_BLOCK = 64
 

@@ -7,9 +7,9 @@ Five subcommands cover the paper's evaluation surface:
   normalized read-tail table the figures use;
 * ``compare``  — the Figure 13 lifetime comparison across schemes
   (flags or a ``--spec`` LifetimeSpec file; ``--store``/``--cache-dir``
-  persist curves for crash-resume, sharing cache entries with
+  persist curves for crash-resume, sharing entries with
   lifetime-family campaigns);
-* ``cache``    — inspect (``ls``) and prune (``gc``) the result cache;
+* ``cache``    — inspect (``ls``) and prune (``gc``) a result store;
 * ``campaign`` — orchestrated large campaigns against the sharded
   result store (``run`` with live progress/ETA and crash-resume,
   ``status``, ``compact``);
@@ -18,9 +18,10 @@ Five subcommands cover the paper's evaluation surface:
   ``--url``, or a ``--metrics-json`` snapshot file).
 
 Everything resolves through the plugin registries, honours
-``--workers`` (process fan-out) and ``--cache-dir`` / ``--store``
-(persistent result backends, shared with the Python API), and exits 2
-on configuration errors with the registry's rich unknown-key messages.
+``--workers`` (process fan-out) and ``--cache-dir`` / ``--store`` (two
+spellings of one result-store root, shared with the Python API), and
+exits 2 on configuration errors with the registry's rich unknown-key
+messages.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.errors import ConfigError, ReproError
 from repro.experiments.registry import SCHEMES, WORKLOADS
 from repro.experiments.runner import run_experiments
 from repro.experiments.spec import ExperimentSpec, load_spec_file
-from repro.harness.cache import ResultCache
 from repro.harness.executors import (
     ProcessExecutor,
     SerialExecutor,
@@ -121,30 +121,10 @@ def _add_execution_args(parser: argparse.ArgumentParser) -> None:
         help="worker kind when --workers > 1 (default: process)",
     )
     parser.add_argument(
-        "--cache-dir", default=None,
-        help="persist finished cells here and reuse them on re-run",
-    )
-    parser.add_argument(
-        "--store", default=None,
-        help="sharded campaign store directory to persist/reuse cells "
-             "instead of --cache-dir (interoperates with `campaign "
-             "run --store`)",
-    )
-
-
-def _runner_from_args(args: argparse.Namespace):
-    """A pre-configured GridRunner when ``--store`` selects the
-    sharded backend; None leaves run_experiments on --cache-dir."""
-    if args.store is None:
-        return None
-    if args.cache_dir is not None:
-        raise ConfigError("pass either --store or --cache-dir, not both")
-    from repro.campaign import ShardedResultStore
-    from repro.harness.runner import GridRunner
-
-    return GridRunner(
-        executor=_make_executor(args.workers, args.executor),
-        cache=ShardedResultStore(args.store),
+        "--cache-dir", "--store", dest="store", default=None,
+        metavar="DIR",
+        help="result store root: persist finished cells here and reuse "
+             "them on re-run (shared with `campaign run --store`)",
     )
 
 
@@ -210,8 +190,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiments(
         specs,
         executor=_make_executor(args.workers, args.executor),
-        cache_dir=args.cache_dir,
-        runner=_runner_from_args(args),
+        cache_dir=args.store,
     )
     if args.json:
         payload = [
@@ -282,8 +261,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     result = run_experiments(
         specs,
         executor=_make_executor(args.workers, args.executor),
-        cache_dir=args.cache_dir,
-        runner=_runner_from_args(args),
+        cache_dir=args.store,
     )
     grid = result.grid
     baseline = args.schemes[0]
@@ -323,12 +301,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _default_compare_executor(schemes, profile, engine: str) -> str:
-    """Pick the fan-out kind that actually parallelizes the sweep.
+    """Threads when every compared scheme runs on its batch kernel,
+    else processes.
 
-    Threads only pay off when every worker releases the GIL — i.e. when
-    every compared scheme runs on its batch kernel. Any scheme falling
-    back to the pure-Python object path serializes a thread pool, so
-    those sweeps default to processes.
+    Measured on 2 CPUs, the five-scheme Figure 13 sweep ran at 7.7
+    curves/s on 2 threads against 10.7 serially.
     """
     if engine == "object":
         return "process"
@@ -408,8 +385,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.harness.runner import GridRunner
     from repro.nand.chip_types import profile_by_name
 
-    if args.store and args.cache_dir:
-        raise ConfigError("pass --store or --cache-dir, not both")
     spec = _compare_spec_from_args(args)
     profile = profile_by_name(spec.profile)
     kind = args.executor or _default_compare_executor(
@@ -423,8 +398,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         from repro.campaign import ShardedResultStore
 
         backend = ShardedResultStore(args.store)
-    elif args.cache_dir:
-        backend = ResultCache(Path(args.cache_dir))
     if args.fail_after is not None:
         if backend is None:
             raise ConfigError("--fail-after needs --store or --cache-dir")
@@ -658,18 +631,25 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _open_store(store_dir: str):
+def _store_noun(args: argparse.Namespace) -> str:
+    return "cache" if args.command == "cache" else "store"
+
+
+def _open_store(args: argparse.Namespace):
+    """Open an existing store (``args.store``) without creating it."""
     from repro.campaign import ShardedResultStore
 
-    if not Path(store_dir).is_dir():
-        raise ConfigError(f"no such store directory: {store_dir}")
-    return ShardedResultStore(store_dir)
+    if not Path(args.store).is_dir():
+        raise ConfigError(
+            f"no such {_store_noun(args)} directory: {args.store}"
+        )
+    return ShardedResultStore(args.store)
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignOrchestrator
 
-    store = _open_store(args.store)
+    store = _open_store(args)
     stats = store.stats()
     payload: Dict[str, Any] = {
         "store": {
@@ -735,21 +715,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_compact(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
     if args.max_entries is not None or args.older_than is not None:
-        result = store.gc(
-            max_entries=args.max_entries,
-            older_than_s=args.older_than,
-            remove_corrupt=not args.keep_corrupt,
-            dry_run=args.dry_run,
-        )
-        verb = "would remove" if args.dry_run else "removed"
-        print(
-            f"store {args.store}: {verb} {result.removed_count} entries "
-            f"({result.removed_bytes:,} bytes), kept {result.kept}"
-        )
-        return 0
-    result = store.compact(dry_run=args.dry_run)
+        return _cmd_store_gc(args)
+    result = _open_store(args).compact(dry_run=args.dry_run)
     verb = "would merge" if args.dry_run else "merged"
     print(
         f"store {args.store}: {verb} {result.segments_before} segments "
@@ -832,16 +800,8 @@ def _cmd_metrics_dump(args: argparse.Namespace) -> int:
 # --- cache -------------------------------------------------------------------
 
 
-def _open_cache(cache_dir: str) -> ResultCache:
-    """Open an existing cache for inspection without creating it."""
-    if not Path(cache_dir).is_dir():
-        raise ConfigError(f"no such cache directory: {cache_dir}")
-    return ResultCache(cache_dir)
-
-
 def _cmd_cache_ls(args: argparse.Namespace) -> int:
-    cache = _open_cache(args.cache_dir)
-    entries = cache.entries()
+    entries = _open_store(args).entries()
     now = time.time()
     if args.json:
         print(
@@ -862,7 +822,7 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
         )
         return 0
     if not entries:
-        print(f"cache {args.cache_dir}: empty")
+        print(f"cache {args.store}: empty")
         return 0
     rows = [
         [
@@ -877,7 +837,7 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
         format_table(
             ["key", "age", "size", "experiment"],
             rows,
-            title=f"Result cache {args.cache_dir}",
+            title=f"Result cache {args.store}",
         )
     )
     corrupt = sum(1 for entry in entries if entry.corrupt or entry.stale)
@@ -891,9 +851,9 @@ def _cmd_cache_ls(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_gc(args: argparse.Namespace) -> int:
-    cache = _open_cache(args.cache_dir)
-    result = cache.gc(
+def _cmd_store_gc(args: argparse.Namespace) -> int:
+    """``cache gc`` and ``campaign compact --max-entries/--older-than``."""
+    result = _open_store(args).gc(
         max_entries=args.max_entries,
         older_than_s=args.older_than,
         remove_corrupt=not args.keep_corrupt,
@@ -901,8 +861,8 @@ def _cmd_cache_gc(args: argparse.Namespace) -> int:
     )
     verb = "would remove" if args.dry_run else "removed"
     print(
-        f"cache {args.cache_dir}: {verb} {result.removed_count} entries "
-        f"({result.removed_bytes:,} bytes), kept {result.kept}"
+        f"{_store_noun(args)} {args.store}: {verb} {result.removed_count} "
+        f"entries ({result.removed_bytes:,} bytes), kept {result.kept}"
     )
     if result.tmp_removed:
         tmp_verb = "would sweep" if args.dry_run else "swept"
@@ -1009,8 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="worker kind when --workers > 1 (default: "
                               "thread when every scheme runs on its batch "
-                              "kernel — kernels release the GIL, so threads "
-                              "avoid the process pickle tax — else process)")
+                              "kernel, else process)")
     compare.add_argument("--engine", choices=list(ENGINES),
                          default="auto",
                          help="lifetime engine: vectorized batch kernel "
@@ -1021,12 +980,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSON LifetimeSpec file; fully describes the "
                               "comparison, so the sweep flags above "
                               "conflict with it")
-    compare.add_argument("--store", default=None, metavar="DIR",
-                         help="sharded result store for finished curves "
+    compare.add_argument("--store", "--cache-dir", dest="store",
+                         default=None, metavar="DIR",
+                         help="result store root for finished curves "
                               "(crash-resume; shareable with campaign run)")
-    compare.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="one-file-per-curve result cache "
-                              "(alternative to --store)")
     compare.add_argument("--fail-after", type=int, default=None,
                          metavar="N",
                          help="crash injection: abort after N curves "
@@ -1184,16 +1141,16 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(default: 5)")
     metrics_dump.set_defaults(func=_cmd_metrics_dump)
 
-    cache = sub.add_parser("cache", help="inspect or prune the result cache")
+    cache = sub.add_parser("cache", help="inspect or prune a result store")
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
 
     cache_ls = cache_sub.add_parser("ls", help="list cache entries")
-    cache_ls.add_argument("--cache-dir", required=True)
+    cache_ls.add_argument("--cache-dir", dest="store", required=True)
     cache_ls.add_argument("--json", action="store_true")
     cache_ls.set_defaults(func=_cmd_cache_ls)
 
     cache_gc = cache_sub.add_parser("gc", help="prune cache entries")
-    cache_gc.add_argument("--cache-dir", required=True)
+    cache_gc.add_argument("--cache-dir", dest="store", required=True)
     cache_gc.add_argument("--max-entries", type=int, default=None,
                           help="keep only the newest N healthy entries")
     cache_gc.add_argument("--older-than", type=_parse_age, default=None,
@@ -1203,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="do not prune corrupt/stale entries")
     cache_gc.add_argument("--dry-run", action="store_true",
                           help="report what would be removed, delete nothing")
-    cache_gc.set_defaults(func=_cmd_cache_gc)
+    cache_gc.set_defaults(func=_cmd_store_gc)
 
     return parser
 

@@ -48,19 +48,17 @@ def run_experiments(
     specs: Sequence[ExperimentSpec],
     executor: Optional[object] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    runner: Optional[GridRunner] = None,
 ) -> ExperimentRun:
     """Run experiment specs; cached cells load, the rest execute.
 
     Pass ``executor`` (e.g. ``ProcessExecutor(4)``) to fan cells out
-    across processes and ``cache_dir`` to persist/reuse finished
-    cells — or hand in a pre-configured ``runner`` directly.
+    across processes and ``cache_dir`` (a result-store root) to
+    persist/reuse finished cells.
     """
     specs = tuple(specs)
     if not specs:
         raise ConfigError("run_experiments needs at least one spec")
-    if runner is None:
-        runner = GridRunner(executor=executor, cache_dir=cache_dir)
+    runner = GridRunner(executor=executor, cache_dir=cache_dir)
     jobs = tuple(spec.resolve() for spec in specs)
     reports = tuple(runner.execute_jobs(jobs))
     grid = grid_from_jobs(jobs, reports)

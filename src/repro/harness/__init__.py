@@ -11,8 +11,11 @@ show. The package splits the old single-module harness into layers:
 * :mod:`repro.harness.executors` — :class:`SerialExecutor` /
   :class:`ProcessExecutor` / :class:`ThreadExecutor`, the pluggable
   ``map`` strategies;
-* :mod:`repro.harness.cache` — :class:`ResultCache`, one JSON file per
-  finished cell, fingerprint-keyed, resume-friendly;
+* :mod:`repro.harness.cache` — :func:`cell_fingerprint`, the key every
+  finished cell persists under, and :data:`CACHE_VERSION`;
+* :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
+  contract; ``cache_dir=`` opens its one implementation,
+  :class:`~repro.campaign.store.ShardedResultStore`;
 * :mod:`repro.harness.runner` — :class:`GridRunner` and the
   ``run_grid`` façade tying them together.
 
@@ -24,7 +27,7 @@ Quick start::
         workloads=("ali.A", "hm"),
         requests=900,
         executor=ProcessExecutor(4),      # fan cells out over 4 processes
-        cache_dir=".repro-cache",         # skip finished cells on re-run
+        cache_dir=".repro-cache",         # store root; re-runs skip done cells
     )
     print(grid.geomean_normalized(lambda r: r.read_tail(99.0), pec=500))
 
@@ -39,7 +42,6 @@ from repro.harness.cache import (
     CACHE_VERSION,
     CacheEntry,
     GcResult,
-    ResultCache,
     cell_fingerprint,
 )
 from repro.harness.cells import (
@@ -78,7 +80,6 @@ __all__ = [
     "PAPER_PEC_POINTS",
     "PAPER_SCHEMES",
     "ProcessExecutor",
-    "ResultCache",
     "ResultStore",
     "RunStats",
     "SerialExecutor",

@@ -1,50 +1,40 @@
-"""Persistent grid-cell result cache.
+"""Cell fingerprints, the record version, and store-entry metadata.
 
-Layout: one JSON file per finished cell, named ``<fingerprint>.json``
-inside the cache directory::
+Finished results persist in a
+:class:`~repro.campaign.store.ShardedResultStore`; every
+``cache_dir=`` / ``--cache-dir`` in the library and the CLI is the
+root of one. This module holds the pieces that outlive any storage
+layout:
 
-    <cache_dir>/
-        2f1c9d...e0.json    {"version": 1, "meta": {...}, "report": {...}}
-        88ab03...71.json
+* :func:`cell_fingerprint` — a SHA-256 over everything that determines
+  a cell's outcome: the resolved :class:`~repro.config.SsdSpec` (via
+  its dataclass ``repr``, deterministic because every nested field is
+  a frozen dataclass of plain values), the scheme, PEC setpoint,
+  workload, request count, derived cell seed, and the remaining
+  ``run_workload_cell`` knobs — plus :data:`CACHE_VERSION`. Any change
+  to any input yields a different key, so a store can be shared across
+  campaigns and machines without collisions;
+* :data:`CACHE_VERSION` — records written under another version read
+  as misses instead of returning stale results;
+* :class:`CacheEntry` / :class:`GcResult` — what ``cache ls`` and
+  ``cache gc`` (:meth:`ShardedResultStore.entries` /
+  :meth:`~ShardedResultStore.gc`) report.
 
-The fingerprint is a SHA-256 over everything that determines a cell's
-outcome — the resolved :class:`~repro.config.SsdSpec` (via its
-dataclass ``repr``, deterministic because every nested field is a
-frozen dataclass of plain values), the scheme, PEC setpoint, workload,
-request count, derived cell seed, and the remaining
-``run_workload_cell`` knobs — plus a format version. Any change to any
-input yields a different file name, so a cache directory can be shared
-across campaigns and machines without collisions.
-
-Resume semantics: the runner consults the cache before executing a
+Resume semantics: the runner consults the store before executing a
 cell and writes each finished report back immediately, so a campaign
 killed halfway resumes from its last completed cell on the next run —
-a warm cache replays an entire grid without executing anything. Writes
-are atomic (temp file + ``os.replace``) and corrupt or truncated
-entries are treated as misses and recomputed, never propagated.
+a warm store replays an entire grid without executing anything.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.config import SsdSpec
-from repro.errors import ConfigError
-from repro.harness.results import (
-    FAMILY_CELL,
-    result_family,
-    result_from_json_dict,
-    result_to_json_dict,
-)
-from repro.telemetry.instruments import store_metrics
 
 #: Bump when the cell-execution semantics or file format change; old
 #: entries then miss instead of returning stale results.
@@ -95,12 +85,13 @@ def cell_fingerprint(
 
 @dataclass(frozen=True)
 class CacheEntry:
-    """Metadata of one on-disk cache entry (for ``cache ls`` / ``gc``).
+    """Metadata of one store entry (for ``cache ls`` / ``gc``).
 
-    ``corrupt`` marks files that exist but cannot be parsed (truncated
-    writes, foreign files); ``stale`` marks readable entries written
-    under a different :data:`CACHE_VERSION`. Both read as misses at
-    run time and are prime garbage-collection candidates.
+    ``path`` is the segment file holding the key's newest record.
+    ``corrupt`` marks records that parse but lack a usable report (a
+    missing report, a checksum mismatch); ``stale`` marks readable
+    records written under a different :data:`CACHE_VERSION`. Both read
+    as misses at run time and are prime garbage-collection candidates.
     """
 
     key: str
@@ -147,12 +138,11 @@ class CacheEntry:
 
 @dataclass(frozen=True)
 class GcResult:
-    """Outcome of one :meth:`ResultCache.gc` pass."""
+    """Outcome of one :meth:`ShardedResultStore.gc` pass."""
 
     removed: Tuple[CacheEntry, ...] = ()
     kept: int = 0
-    #: Orphaned ``<key>.tmp.<pid>.<tid>.<n>`` files swept up
-    #: (interrupted puts).
+    #: Orphaned compaction tmp files swept up (interrupted rewrites).
     tmp_removed: int = 0
 
     @property
@@ -162,248 +152,3 @@ class GcResult:
     @property
     def removed_bytes(self) -> int:
         return sum(entry.size for entry in self.removed)
-
-
-#: Process-wide monotonic suffix for tmp files. The pid alone is not
-#: unique once two threads of one process write the same key (the
-#: campaign orchestrator's ThreadExecutor workers do exactly that), so
-#: the tmp name also carries the thread id and a counter tick.
-_TMP_COUNTER = itertools.count()
-
-
-class ResultCache:
-    """Directory of finished cell reports keyed by fingerprint."""
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def __len__(self) -> int:
-        """Healthy entries only — corrupt/stale/foreign files read as
-        misses at run time, so counting them would make resume-progress
-        estimates (and ``cache ls`` totals) lie after a crash."""
-        return sum(
-            1
-            for entry in self.entries()
-            if not entry.corrupt and not entry.stale
-        )
-
-    def __contains__(self, key: str) -> bool:
-        """True only when :meth:`get` would return a report.
-
-        Membership must match retrievability: a truncated file or an
-        entry written under an older :data:`CACHE_VERSION` reads as a
-        miss, so reporting it as present would make callers (resume
-        planners, the campaign orchestrator) skip cells they cannot
-        actually load.
-        """
-        return self._load(key) is not None
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Parse one entry; None unless it is healthy and current."""
-        return self._load_classified(key)[0]
-
-    def _load_classified(
-        self, key: str
-    ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-        """(entry, miss reason) — reason None on a hit, ``"absent"``
-        on a plain miss, else the unusable-entry class."""
-        try:
-            with self.path(key).open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            return None, "absent"
-        except (OSError, ValueError):
-            return None, "torn"
-        if not isinstance(data, dict):
-            return None, "torn"
-        if data.get("version") != CACHE_VERSION:
-            return None, "stale"
-        if "report" not in data:
-            return None, "corrupt"
-        return data, None
-
-    def get(self, key: str) -> Optional[Any]:
-        """Load a cached result; None on miss or unreadable entry.
-
-        Deserialization dispatches on the entry's ``family`` field
-        (absent on legacy entries, which read as grid cells — see
-        :mod:`repro.harness.results`), so one cache directory holds
-        grid-cell reports and lifetime curves side by side.
-
-        Hits, misses, and unusable entries count toward the
-        ``backend="cache"`` telemetry series here — and only here, so
-        ``in``-style membership probes never skew the hit rate.
-        """
-        metrics = store_metrics("cache")
-        data, reason = self._load_classified(key)
-        if data is None:
-            metrics.get_outcome(hit=False).inc()
-            if reason != "absent":
-                metrics.bad_entry(reason).inc()
-            return None
-        try:
-            report = result_from_json_dict(
-                data.get("family", FAMILY_CELL), data["report"]
-            )
-        except (ValueError, KeyError, TypeError, ConfigError):
-            metrics.get_outcome(hit=False).inc()
-            metrics.bad_entry("corrupt").inc()
-            return None
-        metrics.get_outcome(hit=True).inc()
-        return report
-
-    def put(
-        self,
-        key: str,
-        report: Any,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Atomically persist one finished result (either family)."""
-        family = result_family(report)
-        data = {
-            "version": CACHE_VERSION,
-            "key": key,
-            "meta": meta or {},
-            "report": result_to_json_dict(report),
-        }
-        # Legacy cell entries have no family field; writing cells the
-        # same way keeps the on-disk bytes identical across versions.
-        if family != FAMILY_CELL:
-            data["family"] = family
-        path = self.path(key)
-        tmp = path.with_suffix(
-            f".tmp.{os.getpid()}.{threading.get_ident()}"
-            f".{next(_TMP_COUNTER)}"
-        )
-        text = json.dumps(data)
-        with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-        metrics = store_metrics("cache")
-        metrics.puts.inc()
-        metrics.bytes_written.inc(len(text))
-
-    # --- inspection and garbage collection ---------------------------------
-
-    def entries(self) -> List[CacheEntry]:
-        """Every on-disk entry, oldest first, corrupt ones flagged.
-
-        Never raises on unreadable files — they come back with
-        ``corrupt=True`` so ``cache ls`` can report them and ``gc``
-        can prune them.
-        """
-        found: List[CacheEntry] = []
-        for path in self.root.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # deleted between glob and stat
-            key, meta, corrupt, stale = path.stem, {}, False, False
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-                meta = dict(data.get("meta") or {})
-                if data.get("version") != CACHE_VERSION:
-                    stale = True
-                if "report" not in data:
-                    corrupt = True
-            except (OSError, ValueError, TypeError, AttributeError):
-                corrupt = True
-            found.append(
-                CacheEntry(
-                    key=key,
-                    path=path,
-                    mtime=stat.st_mtime,
-                    size=stat.st_size,
-                    meta=meta,
-                    corrupt=corrupt,
-                    stale=stale,
-                )
-            )
-        found.sort(key=lambda entry: (entry.mtime, entry.key))
-        return found
-
-    def gc(
-        self,
-        max_entries: Optional[int] = None,
-        older_than_s: Optional[float] = None,
-        remove_corrupt: bool = True,
-        dry_run: bool = False,
-        now: Optional[float] = None,
-    ) -> GcResult:
-        """Prune the cache; returns what was (or would be) removed.
-
-        * ``older_than_s`` — drop entries older than this many seconds;
-        * ``max_entries`` — after the age pass, keep only the newest N
-          healthy entries;
-        * ``remove_corrupt`` — also drop corrupt/stale entries (they
-          read as misses anyway).
-
-        Deletes are atomic per entry (``unlink``); a file vanishing
-        concurrently is not an error. ``dry_run=True`` reports without
-        deleting.
-        """
-        if max_entries is not None and max_entries < 0:
-            raise ConfigError("max_entries must be >= 0")
-        if older_than_s is not None and older_than_s < 0:
-            raise ConfigError("older_than_s must be >= 0")
-        now = time.time() if now is None else now
-        doomed: List[CacheEntry] = []
-        survivors: List[CacheEntry] = []
-        for entry in self.entries():
-            if remove_corrupt and (entry.corrupt or entry.stale):
-                doomed.append(entry)
-            elif (
-                older_than_s is not None
-                and entry.age_seconds(now) > older_than_s
-            ):
-                doomed.append(entry)
-            else:
-                survivors.append(entry)
-        if max_entries is not None and len(survivors) > max_entries:
-            # Keep-newest-N ranks healthy entries above corrupt/stale
-            # ones (which read as misses anyway): the eviction head is
-            # every unusable survivor first, then the oldest healthy
-            # entries — never a healthy entry displaced by an unusable
-            # one that survived only because remove_corrupt=False.
-            ranked = sorted(
-                survivors,
-                key=lambda entry: (
-                    not (entry.corrupt or entry.stale),
-                    entry.mtime,
-                    entry.key,
-                ),
-            )
-            extra = len(survivors) - max_entries
-            doomed.extend(ranked[:extra])
-            survivors = sorted(
-                ranked[extra:], key=lambda entry: (entry.mtime, entry.key)
-            )
-        if not dry_run:
-            for entry in doomed:
-                try:
-                    entry.path.unlink()
-                except FileNotFoundError:
-                    pass
-            if doomed:
-                store_metrics("cache").gc_removed.inc(len(doomed))
-        # Sweep tmp files orphaned by interrupted put() calls. A live
-        # writer's tmp exists only for the instant between write and
-        # os.replace, so anything older than a minute is litter.
-        tmp_removed = 0
-        for path in self.root.glob("*.tmp.*"):
-            try:
-                if now - path.stat().st_mtime > 60.0:
-                    if not dry_run:
-                        path.unlink()
-                    tmp_removed += 1
-            except OSError:
-                pass
-        return GcResult(
-            removed=tuple(doomed), kept=len(survivors),
-            tmp_removed=tmp_removed,
-        )

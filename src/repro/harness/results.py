@@ -1,14 +1,13 @@
-"""Result-family dispatch for the persistent stores.
+"""Result-family dispatch for the persistent result store.
 
-Both store backends (:class:`~repro.harness.cache.ResultCache` and
-:class:`~repro.campaign.store.ShardedResultStore`) persist results as
-JSON records. Historically every record held a grid-cell
-:class:`~repro.ssd.metrics.PerfReport`; the unified campaign surface
+The result store (:class:`~repro.campaign.store.ShardedResultStore`)
+persists results as JSON records. Historically every record held a
+grid-cell :class:`~repro.ssd.metrics.PerfReport`; the unified campaign surface
 also stores lifetime-family :class:`~repro.lifetime.simulator.
 LifetimeCurve` results. Records carry a ``family`` discriminator
 (absent on legacy records, which therefore read as cells — no cache
-or store version bump), and this module is the single place both
-backends resolve a family to its (de)serializer.
+or store version bump), and this module is the single place a family
+resolves to its (de)serializer.
 
 Lifetime types import lazily: the harness package must stay importable
 without pulling the lifetime simulator stack, and the lifetime package

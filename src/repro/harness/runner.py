@@ -2,8 +2,8 @@
 
 ``GridRunner`` turns a (schemes x pec_points x workloads) request into
 an ordered list of independent cell jobs, satisfies as many as it can
-from the :class:`~repro.harness.cache.ResultCache`, fans the rest out
-through the configured executor, and assembles the
+from the result store, fans the rest out through the configured
+executor, and assembles the
 :class:`~repro.harness.grid.EvaluationGrid` in the canonical
 pec -> workload -> scheme order regardless of completion order.
 
@@ -15,10 +15,12 @@ description. A ``ProcessExecutor`` grid is therefore bit-identical to
 a ``SerialExecutor`` grid, and a cached report is bit-identical to a
 recomputed one.
 
-Resume: pass ``cache_dir`` and every finished cell is persisted
-immediately; re-running the same campaign (same spec, schemes,
-setpoints, workloads, requests, seed) skips straight past completed
-cells, so an interrupted campaign continues where it stopped.
+Resume: pass ``cache_dir`` (the root of a
+:class:`~repro.campaign.store.ShardedResultStore`) and every finished
+cell is persisted immediately; re-running the same campaign (same
+spec, schemes, setpoints, workloads, requests, seed) skips straight
+past completed cells, so an interrupted campaign continues where it
+stopped.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Any, List, Optional, Sequence, Tuple, Union
 from repro.config import SsdSpec
 from repro.errors import ConfigError
 from repro.experiments.registry import WORKLOADS
-from repro.harness.cache import ResultCache, cell_fingerprint
+from repro.harness.cache import cell_fingerprint
 from repro.harness.cells import (
     PAPER_PEC_POINTS,
     PAPER_SCHEMES,
@@ -259,19 +261,20 @@ class GridRunner:
         cache_dir: Optional[Union[str, Path]] = None,
         cache: Optional[ResultStore] = None,
     ):
-        """``cache`` accepts any :class:`ResultStore` (e.g. a
-        :class:`~repro.campaign.store.ShardedResultStore`);
-        ``cache_dir`` remains the one-JSON-file-per-cell shorthand for
-        ``cache=ResultCache(cache_dir)``. Passing both is ambiguous.
+        """``cache`` accepts any :class:`ResultStore`; ``cache_dir`` is
+        shorthand for ``cache=ShardedResultStore(cache_dir)``. Passing
+        both is ambiguous.
         """
         if cache is not None and cache_dir is not None:
             raise ConfigError("pass either cache or cache_dir, not both")
+        if cache_dir is not None:
+            # Lazy: repro.campaign imports this module via its
+            # orchestrator, so a top-level import would be circular.
+            from repro.campaign.store import ShardedResultStore
+
+            cache = ShardedResultStore(cache_dir)
         self.executor = executor or SerialExecutor()
-        self.cache: Optional[ResultStore] = (
-            cache if cache is not None
-            else ResultCache(cache_dir) if cache_dir is not None
-            else None
-        )
+        self.cache: Optional[ResultStore] = cache
         self.stats = RunStats()
 
     # --- job planning -------------------------------------------------------
@@ -347,7 +350,7 @@ class GridRunner:
         seed: int = 0xAE20,
         engine: str = "auto",
     ) -> EvaluationGrid:
-        """Run a campaign; cached cells load from disk, the rest execute."""
+        """Run a campaign; stored cells load, the rest execute."""
         jobs = self.plan(
             schemes, pec_points, workloads, requests, spec,
             erase_suspension, seed, engine=engine,

@@ -166,10 +166,15 @@ class StoreMetrics:
     generation_rescans: MetricFamily  # counter
 
 
+#: Constant ``backend`` label on every store series, kept so scrapes
+#: and dashboards that filter on it keep matching.
+STORE_BACKEND = "sharded"
+
+
 def store_metrics(
-    backend: str, registry: Optional[MetricsRegistry] = None
+    registry: Optional[MetricsRegistry] = None,
 ) -> "_BoundStoreMetrics":
-    """Handles for one store backend (``sharded`` or ``cache``)."""
+    """Handles for the result store, ``backend="sharded"`` pre-applied."""
     reg = _registry(registry)
     labels = ("backend",)
     families = StoreMetrics(
@@ -238,7 +243,7 @@ def store_metrics(
             labels=labels,
         ),
     )
-    return _BoundStoreMetrics(families, backend)
+    return _BoundStoreMetrics(families)
 
 
 class _BoundStoreMetrics:
@@ -248,10 +253,11 @@ class _BoundStoreMetrics:
         "puts", "superseded", "compactions", "reclaimed_bytes",
         "gc_removed", "data_bytes", "bytes_written",
         "lock_wait_seconds", "generation_rescans", "_gets",
-        "_bad_entries", "_lock_waits", "_backend",
+        "_bad_entries", "_lock_waits",
     )
 
-    def __init__(self, families: StoreMetrics, backend: str):
+    def __init__(self, families: StoreMetrics):
+        backend = STORE_BACKEND
         self.puts = families.puts.labels(backend=backend)
         self.superseded = families.superseded.labels(backend=backend)
         self.compactions = families.compactions.labels(backend=backend)
@@ -272,22 +278,19 @@ class _BoundStoreMetrics:
         self._gets = families.gets
         self._bad_entries = families.bad_entries
         self._lock_waits = families.lock_waits
-        self._backend = backend
 
     def get_outcome(self, hit: bool):
         return self._gets.labels(
-            backend=self._backend, outcome="hit" if hit else "miss"
+            backend=STORE_BACKEND, outcome="hit" if hit else "miss"
         )
 
     def bad_entry(self, reason: str):
         return self._bad_entries.labels(
-            backend=self._backend, reason=reason
+            backend=STORE_BACKEND, reason=reason
         )
 
     def lock_waits(self, mode: str):
-        return self._lock_waits.labels(
-            backend=self._backend, mode=mode
-        )
+        return self._lock_waits.labels(backend=STORE_BACKEND, mode=mode)
 
 
 # --- fault injection ---------------------------------------------------------

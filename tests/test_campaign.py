@@ -307,6 +307,61 @@ def test_grid_runner_rejects_cache_and_cache_dir(tmp_path):
         )
 
 
+def _write_legacy_entry(root, job, result, version=CACHE_VERSION):
+    """One entry exactly as the former per-file result cache wrote it:
+    ``<fingerprint>.json`` with version, key, meta and report, plus a
+    ``family`` field on non-cell results."""
+    from repro.harness.results import result_family, result_to_json_dict
+
+    data = {
+        "version": version,
+        "key": job.fingerprint,
+        "meta": job.store_meta(),
+        "report": result_to_json_dict(result),
+    }
+    if result_family(result) != "cell":
+        data["family"] = result_family(result)
+    path = root / f"{job.fingerprint}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_store_imports_legacy_cache_dir_once(tmp_path):
+    from repro.harness.runner import execute_job
+    from repro.lifetime import LifetimeSpec
+
+    cell, stale = GridRunner().plan(
+        schemes=("baseline", "aero"), pec_points=(500,),
+        workloads=("hm",), requests=100, spec=None,
+        erase_suspension=True, seed=1234,
+    )
+    [curve] = LifetimeSpec(
+        schemes=("baseline",), profile="3D-TLC-48L",
+        block_count=4, step=500, max_pec=2000,
+    ).jobs()
+    jobs = [cell, curve, stale]
+    expected = [execute_job(job) for job in jobs]
+    legacy = [
+        _write_legacy_entry(tmp_path, cell, expected[0]),
+        _write_legacy_entry(tmp_path, curve, expected[1]),
+        _write_legacy_entry(
+            tmp_path, stale, expected[2], version=CACHE_VERSION - 1
+        ),
+    ]
+
+    runner = GridRunner(cache_dir=tmp_path)
+    assert runner.execute_jobs(jobs) == expected
+    # both healthy entries were served; only the stale one recomputed
+    assert runner.stats.cached == 2
+    assert runner.stats.executed == 1
+    assert all(path.exists() for path in legacy)
+    # the import ran once, at creation: reopening re-puts nothing
+    assert ShardedResultStore(tmp_path).stats().superseded == 0
+    assert dict(ShardedResultStore(tmp_path).stats().families) == {
+        "cell": 2, "lifetime": 1,
+    }
+
+
 # --- campaign spec -----------------------------------------------------------
 
 

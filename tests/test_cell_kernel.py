@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import SsdSpec
 from repro.errors import ConfigError
-from repro.harness.cache import CACHE_VERSION, ResultCache
+from repro.campaign import ShardedResultStore
+from repro.harness.cache import CACHE_VERSION
 from repro.harness.cells import PAPER_SCHEMES, run_workload_cell
 from repro.harness.runner import CellJob
 from repro.kernels import (
@@ -151,18 +152,24 @@ class TestPr5Regressions:
         assert report.makespan_us < trace.duration_us
 
     def test_cache_len_counts_healthy_entries_only(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        good, bad, old = "a0" * 32, "b0" * 32, "c0" * 32
+        cache = ShardedResultStore(tmp_path)
         report = _cell("baseline", "ali.A", "kernel", requests=60)
-        cache.put("good", report)
+        cache.put(good, report)
         assert len(cache) == 1
-        # Corrupt file and stale-version entry both read as misses.
-        (tmp_path / "bad.json").write_text("{trunca")
-        cache.put("old", report)
-        path = cache.path("old")
+        # Corrupt (report-less) and stale-version records both read as
+        # misses.
+        (tmp_path / "b0").mkdir()
+        (tmp_path / "b0" / "seg-000000.jsonl").write_text(
+            f'{{"version": {CACHE_VERSION}, "key": "{bad}"}}\n'
+        )
+        cache.put(old, report)
+        path = next((tmp_path / "c0").glob("seg-*.jsonl"))
         stale = path.read_text().replace(
-            f'"version": {CACHE_VERSION}', '"version": 1'
+            f'"version":{CACHE_VERSION}', '"version":1'
         )
         path.write_text(stale)
-        assert cache.get("bad") is None
-        assert cache.get("old") is None
+        cache = ShardedResultStore(tmp_path)
+        assert cache.get(bad) is None
+        assert cache.get(old) is None
         assert len(cache) == 1

@@ -8,9 +8,10 @@ import time
 
 import pytest
 
+from repro.campaign import ShardedResultStore
 from repro.experiments import ExperimentSpec
 from repro.experiments.cli import _format_age, _parse_age, main
-from repro.harness.cache import ResultCache
+from repro.harness.cache import CACHE_VERSION
 
 RUN_ARGS = [
     "run", "--scheme", "aero", "--pec", "2500", "--workload", "ali.A",
@@ -40,6 +41,14 @@ def test_cache_ls_sees_the_entry(warm_cache, capsys):
     out = capsys.readouterr().out
     assert "aero pec=2500 ali.A requests=120" in out
     assert "1 entries" in out
+
+
+def test_cache_dir_is_a_store_root(warm_cache, capsys):
+    # --cache-dir and --store are two spellings of one store root
+    assert main(["campaign", "status", "--store", warm_cache]) == 0
+    assert "1 entries across" in capsys.readouterr().out
+    assert main(RUN_ARGS + ["--store", warm_cache]) == 0
+    assert "served from cache: 1" in capsys.readouterr().out
 
 
 def test_cache_ls_json(warm_cache, capsys):
@@ -188,13 +197,13 @@ def test_cache_gc_prunes_and_reports(tmp_path, capsys):
     assert main(["cache", "gc", "--cache-dir", cache_dir,
                  "--max-entries", "1", "--dry-run"]) == 0
     assert "would remove 1" in capsys.readouterr().out
-    assert len(ResultCache(cache_dir).entries()) == 2
+    assert len(ShardedResultStore(cache_dir).entries()) == 2
 
     # Real gc keeps the newest entry.
     assert main(["cache", "gc", "--cache-dir", cache_dir,
                  "--max-entries", "1"]) == 0
     assert "removed 1" in capsys.readouterr().out
-    assert len(ResultCache(cache_dir).entries()) == 1
+    assert len(ShardedResultStore(cache_dir).entries()) == 1
 
 
 def test_cache_gc_older_than_and_corrupt(tmp_path, capsys):
@@ -203,26 +212,36 @@ def test_cache_gc_older_than_and_corrupt(tmp_path, capsys):
         "run", "--scheme", "baseline", "--pec", "500", "--workload", "hm",
         "--requests", "80", "--seed", "1", "--cache-dir", cache_dir,
     ]) == 0
-    corrupt = tmp_path / "deadbeef.json"
-    corrupt.write_text("{truncated")
+    # A record that parses but has no report reads as corrupt.
+    (tmp_path / "de").mkdir(exist_ok=True)
+    with (tmp_path / "de" / "seg-000000.jsonl").open("a") as handle:
+        handle.write(json.dumps({
+            "version": CACHE_VERSION, "key": "de" * 32, "ts": time.time(),
+        }) + "\n")
     capsys.readouterr()
 
     assert main(["cache", "ls", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert "<corrupt entry>" in out and "1 corrupt/stale" in out
 
-    # Age out everything: backdate files, prune older than 1h.
+    # Age out everything: backdate records, prune older than 1h.
     old = time.time() - 7200
-    for path in tmp_path.glob("*.json"):
-        os.utime(path, (old, old))
+    for path in tmp_path.glob("*/seg-*.jsonl"):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            record["ts"] = old
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert main(["cache", "gc", "--cache-dir", cache_dir,
                  "--older-than", "1h"]) == 0
     assert "removed 2" in capsys.readouterr().out
-    assert not list(tmp_path.glob("*.json"))
+    assert not ShardedResultStore(cache_dir).entries()
 
 
 def test_cache_gc_sweeps_orphaned_tmp_files(tmp_path, capsys):
-    orphan = tmp_path / "abc123.tmp.9999"
+    # A compaction interrupted between writing and renaming its merged
+    # segment leaves this behind.
+    (tmp_path / "ab").mkdir()
+    orphan = tmp_path / "ab" / "seg-000001.jsonl.tmp.9999"
     orphan.write_text("partial write")
     old = time.time() - 300
     os.utime(orphan, (old, old))

@@ -1,18 +1,22 @@
 """Determinism and cache regressions for the evaluation harness.
 
-The parallel runner and the result cache are only safe because every
+The parallel runner and the result store are only safe because every
 cell is a pure function of its inputs; these tests pin that property:
 same seed -> identical report, process grid == serial grid
 cell-for-cell, cached report == recomputed report, and a warm cache
 replays a campaign without executing anything.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.campaign import ShardedResultStore
 from repro.harness import (
+    CACHE_VERSION,
     GridRunner,
     ProcessExecutor,
-    ResultCache,
     SerialExecutor,
     ThreadExecutor,
     cell_fingerprint,
@@ -128,7 +132,7 @@ def test_cache_resumes_partial_campaign(tmp_path):
 def test_cache_ignores_corrupt_entries(tmp_path):
     runner = GridRunner(cache_dir=tmp_path)
     runner.run(**GRID_KWARGS)
-    for path in tmp_path.glob("*.json"):
+    for path in tmp_path.glob("*/seg-*.jsonl"):
         path.write_text("{ truncated", encoding="utf-8")
     rerun = GridRunner(cache_dir=tmp_path)
     rerun.run(**GRID_KWARGS)
@@ -169,14 +173,31 @@ def test_latency_recorder_equality():
     assert a != "reads"
 
 
+def _key(name):
+    """A fingerprint-shaped (64 hex digit) store key."""
+    return hashlib.sha256(name.encode()).hexdigest()
+
+
+def _append_record(root, key, ts, report=None, version=CACHE_VERSION):
+    """Append one raw record line with a chosen timestamp to the key's
+    shard; ``report=None`` writes a corrupt (report-less) record."""
+    record = {"version": version, "key": key, "ts": ts, "meta": {}}
+    if report is not None:
+        record["report"] = report.to_json_dict()
+    shard = root / key[:2]
+    shard.mkdir(exist_ok=True)
+    with (shard / "seg-000000.jsonl").open("a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record) + "\n")
+
+
 def test_result_cache_round_trip(tmp_path):
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultStore(tmp_path)
     report = run_workload_cell("aero", 500, "hm", requests=100, seed=3)
-    cache.put("abc123", report, meta={"scheme": "aero"})
-    assert "abc123" in cache
+    cache.put(_key("abc123"), report, meta={"scheme": "aero"})
+    assert _key("abc123") in cache
     assert len(cache) == 1
-    assert cache.get("abc123") == report
-    assert cache.get("missing") is None
+    assert cache.get(_key("abc123")) == report
+    assert cache.get(_key("missing")) is None
 
 
 def test_custom_workload_profile_runs_and_gets_own_cache_key(tmp_path):
@@ -227,8 +248,8 @@ def test_fingerprint_sensitivity():
 
 # --- cache correctness regressions ------------------------------------------
 # Membership must match retrievability, concurrent puts must not
-# collide on tmp names, and gc's keep-newest-N budget must never evict
-# a healthy entry while keeping an unusable one.
+# collide, and gc's keep-newest-N budget must never evict a healthy
+# entry while keeping an unusable one.
 
 
 @pytest.fixture(scope="module")
@@ -236,42 +257,47 @@ def small_report():
     return run_workload_cell("aero", 500, "hm", requests=100, seed=3)
 
 
+def _segment(root, key):
+    return next((root / key[:2]).glob("seg-*.jsonl"))
+
+
 def test_contains_is_false_for_truncated_entry(tmp_path, small_report):
-    cache = ResultCache(tmp_path)
-    cache.put("feed01", small_report)
-    cache.path("feed01").write_text("{ truncated", encoding="utf-8")
-    # get() treats the torn file as a miss, so membership must too
-    assert cache.get("feed01") is None
-    assert "feed01" not in cache
+    key = _key("feed01")
+    ShardedResultStore(tmp_path).put(key, small_report)
+    segment = _segment(tmp_path, key)
+    segment.write_bytes(segment.read_bytes()[:40])
+    cache = ShardedResultStore(tmp_path)
+    # get() treats the torn record as a miss, so membership must too
+    assert cache.get(key) is None
+    assert key not in cache
 
 
 def test_contains_is_false_for_stale_version_entry(tmp_path, small_report):
-    import json as _json
-
-    from repro.harness import CACHE_VERSION
-
-    cache = ResultCache(tmp_path)
-    cache.put("feed02", small_report)
-    data = _json.loads(cache.path("feed02").read_text())
+    key = _key("feed02")
+    ShardedResultStore(tmp_path).put(key, small_report)
+    segment = _segment(tmp_path, key)
+    data = json.loads(segment.read_text())
     data["version"] = CACHE_VERSION - 1
-    cache.path("feed02").write_text(_json.dumps(data), encoding="utf-8")
-    assert cache.get("feed02") is None
-    assert "feed02" not in cache
+    segment.write_text(json.dumps(data) + "\n", encoding="utf-8")
+    cache = ShardedResultStore(tmp_path)
+    assert cache.get(key) is None
+    assert key not in cache
     # a healthy sibling still reads as present
-    cache.put("feed03", small_report)
-    assert "feed03" in cache
+    cache.put(_key("feed03"), small_report)
+    assert _key("feed03") in cache
 
 
 def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
     import threading
 
-    cache = ResultCache(tmp_path)
+    cache = ShardedResultStore(tmp_path)
+    key = _key("c0ffee")
     errors = []
 
     def hammer():
         try:
             for _ in range(20):
-                cache.put("c0ffee", small_report)
+                cache.put(key, small_report)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -281,53 +307,48 @@ def test_concurrent_same_key_puts_do_not_collide(tmp_path, small_report):
     for thread in threads:
         thread.join()
     assert not errors
-    assert cache.get("c0ffee") == small_report
-    # unique tmp names: nothing orphaned, nothing clobbered mid-replace
-    assert list(tmp_path.glob("*.tmp.*")) == []
-
-
-def test_put_tmp_names_are_unique_per_thread_and_call(tmp_path):
-    from repro.harness.cache import _TMP_COUNTER
-
-    a, b = next(_TMP_COUNTER), next(_TMP_COUNTER)
-    assert a != b  # monotonic tick folded into every tmp name
+    assert cache.get(key) == small_report
+    assert ShardedResultStore(tmp_path).get(key) == small_report
+    # appends need no tmp files: nothing orphaned
+    assert list(tmp_path.glob("**/*.tmp.*")) == []
 
 
 def test_gc_budget_prefers_healthy_over_corrupt(tmp_path, small_report):
-    import os
     import time as _time
 
-    cache = ResultCache(tmp_path)
+    ShardedResultStore(tmp_path)
     now = _time.time()
-    for index, key in enumerate(["aaa", "bbb", "ccc"]):
-        cache.put(key, small_report)
-        os.utime(cache.path(key), (now - 100 + index, now - 100 + index))
+    healthy = [_key(name) for name in ("aaa", "bbb", "ccc")]
+    for index, key in enumerate(healthy):
+        _append_record(tmp_path, key, now - 100 + index, small_report)
     # two *newer* corrupt entries would win the old keep-newest-N pass
-    for index, key in enumerate(["ddd", "eee"]):
-        cache.path(key).write_text("{ torn", encoding="utf-8")
-        os.utime(cache.path(key), (now + index, now + index))
+    corrupt = [_key(name) for name in ("ddd", "eee")]
+    for index, key in enumerate(corrupt):
+        _append_record(tmp_path, key, now + index)
 
+    cache = ShardedResultStore(tmp_path)
     result = cache.gc(max_entries=3, remove_corrupt=False)
     # the budget evicts the unusable entries first, keeping all healthy
-    assert {entry.key for entry in result.removed} == {"ddd", "eee"}
+    assert {entry.key for entry in result.removed} == set(corrupt)
     assert result.kept == 3
-    for key in ("aaa", "bbb", "ccc"):
+    for key in healthy:
         assert key in cache
 
 
 def test_gc_budget_still_trims_oldest_healthy(tmp_path, small_report):
-    import os
     import time as _time
 
-    cache = ResultCache(tmp_path)
+    ShardedResultStore(tmp_path)
     now = _time.time()
-    for index, key in enumerate(["aaa", "bbb", "ccc"]):
-        cache.put(key, small_report)
-        os.utime(cache.path(key), (now - 100 + index, now - 100 + index))
-    cache.path("ddd").write_text("{ torn", encoding="utf-8")
-    os.utime(cache.path("ddd"), (now, now))
+    healthy = [_key(name) for name in ("aaa", "bbb", "ccc")]
+    for index, key in enumerate(healthy):
+        _append_record(tmp_path, key, now - 100 + index, small_report)
+    _append_record(tmp_path, _key("ddd"), now)
 
+    cache = ShardedResultStore(tmp_path)
     result = cache.gc(max_entries=2, remove_corrupt=False)
     # corrupt first, then the oldest healthy entry
-    assert {entry.key for entry in result.removed} == {"ddd", "aaa"}
-    assert "bbb" in cache and "ccc" in cache
+    assert {entry.key for entry in result.removed} == {
+        _key("ddd"), healthy[0]
+    }
+    assert healthy[1] in cache and healthy[2] in cache

@@ -20,7 +20,6 @@ from repro.campaign import (
 )
 from repro.errors import ConfigError
 from repro.harness import GridRunner, SerialExecutor
-from repro.harness.cache import ResultCache
 from repro.lifetime import (
     LifetimeCurve,
     LifetimeSpec,
@@ -170,7 +169,7 @@ def test_flag_and_spec_paths_share_cache_entries(tmp_path):
         block_count=SPEC.block_count, step=SPEC.step, max_pec=SPEC.max_pec,
         cache_dir=cache_dir,
     )
-    runner = GridRunner(cache=ResultCache(cache_dir))
+    runner = GridRunner(cache_dir=cache_dir)
     runner.execute_jobs(SPEC.jobs())
     assert runner.stats.executed == 0
     assert runner.stats.cached == len(SPEC.schemes)

@@ -28,7 +28,7 @@ from repro.campaign.store import record_checksum
 from repro.errors import ConfigError
 from repro.experiments.cli import main
 from repro.harness import GridRunner, SerialExecutor, run_workload_cell
-from repro.harness.cache import CACHE_VERSION, ResultCache
+from repro.harness.cache import CACHE_VERSION
 from repro.telemetry import (
     MetricsRegistry,
     parse_text_format,
@@ -434,25 +434,36 @@ def test_replay_metrics_identical_across_engines():
 
 def test_cache_backend_counts_hits_misses_and_bad_entries(tmp_path, report):
     with scoped_registry() as registry:
-        cache = ResultCache(tmp_path)
-        key = "d" * 64
+        cache = ShardedResultStore(tmp_path)
+        key, old = "d" * 64, "e" * 64
         assert cache.get(key) is None            # absent -> plain miss
         cache.put(key, report)
         assert cache.get(key) == report          # hit
-        cache.path(key).write_text("{not json", encoding="utf-8")
-        assert cache.get(key) is None            # torn -> miss + reason
+        segment = next((tmp_path / "dd").glob("seg-*.jsonl"))
+        segment.write_bytes(segment.read_bytes()[:-10])
+        (tmp_path / "ee").mkdir()
+        (tmp_path / "ee" / "seg-000000.jsonl").write_text(json.dumps({
+            "version": CACHE_VERSION - 1, "key": old,
+            "report": report.to_json_dict(),
+        }) + "\n")
+        reopened = ShardedResultStore(tmp_path)
+        assert reopened.get(key) is None         # torn -> miss + reason
+        assert reopened.get(old) is None         # stale -> miss + reason
         families = families_of(registry)
         assert families["repro_store_puts_total"].value(
-            {"backend": "cache"}
+            {"backend": "sharded"}
         ) == 1
         assert families["repro_store_gets_total"].value(
-            {"backend": "cache", "outcome": "hit"}
+            {"backend": "sharded", "outcome": "hit"}
         ) == 1
         assert families["repro_store_gets_total"].value(
-            {"backend": "cache", "outcome": "miss"}
-        ) == 2
+            {"backend": "sharded", "outcome": "miss"}
+        ) == 3
         assert families["repro_store_bad_entries_total"].value(
-            {"backend": "cache", "reason": "torn"}
+            {"backend": "sharded", "reason": "torn"}
+        ) == 1
+        assert families["repro_store_bad_entries_total"].value(
+            {"backend": "sharded", "reason": "stale"}
         ) == 1
 
 
@@ -468,14 +479,6 @@ def test_cli_run_with_store_backend(tmp_path, capsys):
     assert "served from cache: 1" in capsys.readouterr().out
     # the same store resumes a campaign CLI invocation
     assert ShardedResultStore(store_dir).stats().keys == 1
-
-
-def test_cli_store_and_cache_dir_conflict(tmp_path, capsys):
-    assert main([
-        "run", "--store", str(tmp_path / "a"),
-        "--cache-dir", str(tmp_path / "b"),
-    ]) == 2
-    assert "either --store or --cache-dir" in capsys.readouterr().err
 
 
 def test_cli_metrics_dump_validates_and_requires(tmp_path, capsys):
