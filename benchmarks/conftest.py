@@ -65,9 +65,10 @@ def bench_requests():
 def bench_executor():
     """Cell executor for grid campaigns (serial unless REPRO_BENCH_WORKERS>1).
 
-    ``REPRO_BENCH_EXECUTOR=thread`` swaps the fan-out to threads —
-    worthwhile for kernel-engine lifetime campaigns, where the NumPy
-    batch kernels release the GIL and processes pay a pickle tax.
+    ``REPRO_BENCH_EXECUTOR=thread`` swaps the worker processes for
+    threads. Threads skip the pickle round-trip but share the GIL;
+    measured on 2 CPUs, two threads were slower than one worker on
+    both grid cells and lifetime curves.
     """
     workers = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
     kind = os.environ.get("REPRO_BENCH_EXECUTOR", "process")

@@ -24,22 +24,9 @@ import argparse
 from repro import SCHEME_KEYS
 from repro.analysis.tables import format_table
 from repro.harness import ProcessExecutor, ThreadExecutor
-from repro.kernels import ENGINES, kernel_for_scheme
+from repro.kernels import ENGINES
 from repro.lifetime import compare_schemes
 from repro.nand.chip_types import TLC_3D_48L
-from repro.schemes import make_scheme
-
-
-def _default_executor_kind(scheme_keys, engine):
-    """Threads only when every scheme runs its batch kernel."""
-    if engine == "object":
-        return "process"
-    if engine == "kernel":
-        return "thread"
-    for key in scheme_keys:
-        if kernel_for_scheme(make_scheme(TLC_3D_48L, key)) is None:
-            return "process"
-    return "thread"
 
 
 def main():
@@ -49,9 +36,8 @@ def main():
         help="workers, one scheme each (default: serial)",
     )
     parser.add_argument(
-        "--executor", choices=["process", "thread"], default=None,
-        help="worker kind when --workers > 1 (default: thread for "
-             "kernel-engine runs and process for --engine object)",
+        "--executor", choices=["process", "thread"], default="process",
+        help="worker kind when --workers > 1 (default: process)",
     )
     parser.add_argument(
         "--engine", choices=list(ENGINES), default="auto",
@@ -68,8 +54,9 @@ def main():
         parser.error("--schemes needs at least one scheme key")
     executor = None
     if args.workers > 1:
-        kind = args.executor or _default_executor_kind(scheme_keys, args.engine)
-        executor_cls = ThreadExecutor if kind == "thread" else ProcessExecutor
+        executor_cls = (
+            ThreadExecutor if args.executor == "thread" else ProcessExecutor
+        )
         executor = executor_cls(args.workers)
 
     print("Cycling five 48-block sets to failure (this takes a few seconds)...\n")

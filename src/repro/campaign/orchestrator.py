@@ -10,8 +10,8 @@ a result store:
    loaded, not re-executed; a campaign killed at any point restarts
    from the store alone.
 3. **Route** — pending cells split across a mixed executor pool by
-   engine: kernel-engine cells go to :class:`ThreadExecutor` workers,
-   object-engine cells to :class:`ProcessExecutor` workers. Measured
+   engine: kernel-engine cells go to thread workers, object-engine
+   cells to process workers. Measured
    on 2 CPUs, 2 thread workers ran kernel cells at 12.8 cells/s
    against 14.2 on one, so the thread pool adds no speedup.
 4. **Supervise** — cells run under a
@@ -333,23 +333,32 @@ class CampaignOrchestrator:
             metrics.cells.labels(outcome="resumed").inc(resumed)
         pool_of = {index: "thread" for index in thread_indices}
         pool_of.update({index: "process" for index in process_indices})
-        pool_pending = {
-            "thread": len(thread_indices),
-            "process": len(process_indices),
-        }
         pool_executed = {"thread": 0, "process": 0}
-        pool_workers = {
-            "thread": self.thread_workers,
-            "process": self.process_workers,
-        }
-        for pool, workers in pool_workers.items():
-            metrics.pool_workers.labels(pool=pool).set(workers)
+        metrics.pool_workers.labels(pool="thread").set(self.thread_workers)
+        metrics.pool_workers.labels(pool="process").set(self.process_workers)
+        supervisor = CellSupervisor(
+            policy=RetryPolicy(
+                max_retries=self.max_retries, seed=self.spec.seed
+            ),
+            cell_timeout_s=self.cell_timeout_s,
+            process_workers=self.process_workers,
+            thread_workers=self.thread_workers,
+            fault_plan=self.fault_plan,
+            engine_fallback=self.engine_fallback,
+            shutdown=self.shutdown,
+        )
+        for index in thread_indices:
+            supervisor.submit(index, jobs[index], "thread")
+        for index in process_indices:
+            supervisor.submit(index, jobs[index], "process")
 
         def update_pool_gauges() -> None:
-            for pool, left in pool_pending.items():
-                metrics.pool_pending.labels(pool=pool).set(left)
+            for pool in ("thread", "process"):
+                metrics.pool_pending.labels(pool=pool).set(
+                    supervisor.pending_count(pool)
+                )
                 metrics.pool_inflight.labels(pool=pool).set(
-                    min(pool_workers[pool], left)
+                    supervisor.inflight_count(pool)
                 )
 
         update_pool_gauges()
@@ -380,21 +389,6 @@ class CampaignOrchestrator:
             self.progress(snapshot)
 
         emit(force=True)
-        supervisor = CellSupervisor(
-            policy=RetryPolicy(
-                max_retries=self.max_retries, seed=self.spec.seed
-            ),
-            cell_timeout_s=self.cell_timeout_s,
-            process_workers=self.process_workers,
-            thread_workers=self.thread_workers,
-            fault_plan=self.fault_plan,
-            engine_fallback=self.engine_fallback,
-            shutdown=self.shutdown,
-        )
-        for index in thread_indices:
-            supervisor.submit(index, jobs[index], "thread")
-        for index in process_indices:
-            supervisor.submit(index, jobs[index], "process")
         quarantined_records: List[Dict[str, Any]] = []
         try:
             while True:
@@ -424,7 +418,6 @@ class CampaignOrchestrator:
                     metrics.cells.labels(outcome="executed").inc()
                     if superseding:
                         metrics.cells.labels(outcome="superseded").inc()
-                    pool_pending[pool_of[index]] -= 1
                     update_pool_gauges()
                     emit()
                     if self.on_cell is not None:
@@ -443,7 +436,6 @@ class CampaignOrchestrator:
                         },
                     )
                     quarantined_records.append(record)
-                    pool_pending[pool_of[index]] -= 1
                     update_pool_gauges()
                     emit()
                     if self.on_poison == "fail":
@@ -456,7 +448,6 @@ class CampaignOrchestrator:
                             fingerprint=job.fingerprint,
                         )
                 else:  # interrupted by shutdown
-                    pool_pending[pool_of[index]] -= 1
                     update_pool_gauges()
         finally:
             supervisor.close()

@@ -1,9 +1,10 @@
 """Cell supervision: timeouts, retry with backoff, quarantine.
 
-:class:`CellSupervisor` sits between the orchestrator and the
-supervised workers of :mod:`repro.harness.executors`. The pool
-executors give up when a worker dies; the supervisor treats every
-failure mode as an *event* with a recovery policy:
+:class:`CellSupervisor` is the one fan-out stack: the campaign
+orchestrator and :class:`~repro.harness.runner.GridRunner` both run
+their pending jobs on its supervised workers (from
+:mod:`repro.harness.executors`). It treats every failure mode as an
+*event* with a recovery policy:
 
 * a cell raising → retried with exponential backoff and deterministic
   jitter (seeded through :func:`repro.rng.derive`, so two runs of a
@@ -151,7 +152,7 @@ class CellSupervisor:
 
     Usage: ``submit`` every cell, then drain ``next_outcome()`` until
     it returns ``None``. Thread-safety: ``submit``/``next_outcome``/
-    ``requeue`` are called from the orchestrator's thread only; the
+    ``requeue`` are called from the coordinating thread only; the
     shared event queue is the sole cross-thread channel.
     """
 

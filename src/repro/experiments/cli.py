@@ -300,25 +300,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 # --- compare -----------------------------------------------------------------
 
 
-def _default_compare_executor(schemes, profile, engine: str) -> str:
-    """Threads when every compared scheme runs on its batch kernel,
-    else processes.
-
-    Measured on 2 CPUs, the five-scheme Figure 13 sweep ran at 7.7
-    curves/s on 2 threads against 10.7 serially.
-    """
-    if engine == "object":
-        return "process"
-    if engine == "kernel":
-        return "thread"
-    from repro.kernels import kernel_for_scheme
-
-    for key in schemes:
-        if kernel_for_scheme(SCHEMES.create(key, profile)) is None:
-            return "process"
-    return "thread"
-
-
 class _FailingStore:
     """Store wrapper that crashes after N successful puts.
 
@@ -387,12 +368,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     spec = _compare_spec_from_args(args)
     profile = profile_by_name(spec.profile)
-    kind = args.executor or _default_compare_executor(
-        spec.schemes, profile, spec.engine
-    )
-    executor = (
-        _EXECUTORS[kind](args.workers) if args.workers > 1 else None
-    )
+    executor = _make_executor(args.workers, args.executor)
     backend: Optional[Any] = None
     if args.store:
         from repro.campaign import ShardedResultStore
@@ -966,10 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--workers", type=int, default=1,
                          help="workers, one scheme each (default: serial)")
     compare.add_argument("--executor", choices=sorted(_EXECUTORS),
-                         default=None,
-                         help="worker kind when --workers > 1 (default: "
-                              "thread when every scheme runs on its batch "
-                              "kernel, else process)")
+                         default="process",
+                         help="worker kind when --workers > 1 "
+                              "(default: process)")
     compare.add_argument("--engine", choices=list(ENGINES),
                          default="auto",
                          help="lifetime engine: vectorized batch kernel "

@@ -9,8 +9,9 @@ show. The package splits the old single-module harness into layers:
 * :mod:`repro.harness.grid` — :class:`EvaluationGrid` with an O(1)
   ``(scheme, pec, workload)`` index and figure-shaped projections;
 * :mod:`repro.harness.executors` — :class:`SerialExecutor` /
-  :class:`ProcessExecutor` / :class:`ThreadExecutor`, the pluggable
-  ``map`` strategies;
+  :class:`ProcessExecutor` / :class:`ThreadExecutor`, worker-count
+  values naming where pending jobs run: in-process, or on that many
+  supervised process/thread workers;
 * :mod:`repro.harness.cache` — :func:`cell_fingerprint`, the key every
   finished cell persists under, and :data:`CACHE_VERSION`;
 * :mod:`repro.harness.store` — :class:`ResultStore`, the persistence
@@ -50,7 +51,6 @@ from repro.harness.cells import (
     run_workload_cell,
 )
 from repro.harness.executors import (
-    Executor,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
@@ -71,7 +71,6 @@ __all__ = [
     "CACHE_VERSION",
     "CacheEntry",
     "CellJob",
-    "Executor",
     "GcResult",
     "CellKey",
     "EvaluationGrid",

@@ -1,128 +1,51 @@
-"""Pluggable work executors for embarrassingly parallel campaigns.
+"""Worker-count values and the supervised workers that honour them.
 
-Both executors implement the same two methods — ``map(fn, items)``
-with list semantics and its streaming form ``imap(fn, items)`` —
-returning results in the order of ``items``, regardless of which
-worker finished first. ``fn`` must be a module-level function and
-``items`` picklable objects, so the same call works under either
-executor; beyond that the two are interchangeable, and any code written
-against :class:`SerialExecutor` parallelizes by swapping in a
-:class:`ProcessExecutor`.
+:class:`SerialExecutor`, :class:`ProcessExecutor` and
+:class:`ThreadExecutor` carry no execution logic. Each is a plain
+value — a pool kind plus a validated ``workers`` count — that tells
+:class:`~repro.harness.runner.GridRunner` where to run its pending
+jobs: in the calling process (serial, or a single job), or on that
+many supervised workers of the named pool under a
+:class:`~repro.campaign.supervisor.CellSupervisor`.
 
 Determinism: every job in this library is a pure function of its
 arguments (all randomness flows from explicit seeds through
-:func:`repro.rng.derive`), so ``SerialExecutor`` and
-``ProcessExecutor`` produce bit-identical results — parallelism changes
-wall-clock time, never outcomes.
+:func:`repro.rng.derive`), so serial, process and thread runs produce
+bit-identical results — parallelism changes wall-clock time, never
+outcomes.
 
-Below the pool executors live the *supervised worker* primitives
-(:class:`ProcessWorker`, :class:`ThreadWorker`): single workers that a
-supervisor can kill, observe dying, and replace — the mechanism under
-:class:`repro.campaign.supervisor.CellSupervisor`. Pool executors
-abort their whole ``map`` when one worker dies; supervised workers
-turn the same event into a ``died`` message on a queue.
+The supervised worker primitives (:class:`ProcessWorker`,
+:class:`ThreadWorker`) are single workers that a supervisor can kill,
+observe dying, and replace: a worker's death becomes a ``died``
+message on a queue rather than an abort.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing as mp
 import os
 import queue
 import threading
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import (
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import ConfigError
-
-
-@runtime_checkable
-class Executor(Protocol):
-    """Structural type every campaign executor satisfies.
-
-    Anything with ordered ``map``/``imap`` and a ``workers`` count is
-    an executor — the three built-ins below, and any third-party
-    implementation (an async bridge, a cluster client) type-checks
-    against this protocol without subclassing anything. ``imap`` must
-    yield results in the order of ``items`` and lazily enough that a
-    caller persisting them incrementally loses at most the
-    not-yet-yielded tail on interruption.
-    """
-
-    workers: int
-
-    def map(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> List[Any]: ...
-
-    def imap(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[Any]: ...
 
 
 class SerialExecutor:
     """Run jobs one after another in the calling process (default)."""
 
+    pool: Optional[str] = None
     workers = 1
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        return list(self.imap(fn, items))
-
-    def imap(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Lazily yield ``fn(item)`` per item, in order.
-
-        Laziness is what gives cached campaigns their resume
-        granularity: the runner persists each result as it is yielded,
-        so an interrupted run keeps every cell completed so far.
-        """
-        for item in items:
-            yield fn(item)
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
 
 
-def _snapshot_task(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, Any]:
-    """Worker-side wrapper: run ``fn(item)`` under a fresh telemetry
-    registry and return ``(result, registry_snapshot)``.
+class _PoolExecutor:
+    """``workers`` supervised workers of the ``pool`` kind."""
 
-    Process workers would otherwise increment counters in a forked
-    registry the coordinator never sees; shipping the snapshot home
-    with the result lets the parent merge it on arrival (see
-    :meth:`repro.telemetry.MetricsRegistry.merge_snapshot`).
-    """
-    from repro.telemetry import scoped_registry
-
-    with scoped_registry() as registry:
-        result = fn(item)
-    return result, registry.snapshot()
-
-
-class ProcessExecutor:
-    """Fan jobs out across ``workers`` OS processes.
-
-    Results are returned in submission order. Worker processes are
-    created per ``map`` call and torn down afterwards, so the executor
-    object itself stays picklable and reusable.
-
-    Telemetry recorded inside a worker (counters, histograms) is
-    snapshotted per task and merged into the coordinator's default
-    registry as each result is yielded, so process fan-out and the
-    in-process executors report identical metrics.
-    """
+    pool = ""
 
     def __init__(self, workers: Optional[int] = None):
         if workers is None:
@@ -131,42 +54,22 @@ class ProcessExecutor:
             raise ConfigError(f"need at least 1 worker, got {workers}")
         self.workers = workers
 
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        return list(self.imap(fn, items))
-
-    def imap(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Yield results in submission order as workers finish them.
-
-        Results stream back while later jobs are still running, so a
-        caller persisting them incrementally (the grid runner's cache)
-        loses at most the not-yet-yielded tail on interruption.
-        """
-        items = list(items)
-        if not items:
-            return
-        workers = min(self.workers, len(items))
-        if workers == 1:
-            # Inline path: no child process, so jobs already record
-            # into the parent registry — no snapshot round-trip.
-            for item in items:
-                yield fn(item)
-            return
-        from repro.telemetry import get_default_registry
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result, snapshot in pool.map(
-                functools.partial(_snapshot_task, fn), items, chunksize=1
-            ):
-                get_default_registry().merge_snapshot(snapshot)
-                yield result
-
     def __repr__(self) -> str:
-        return f"ProcessExecutor(workers={self.workers})"
+        return f"{type(self).__name__}(workers={self.workers})"
 
 
-class ThreadExecutor:
+class ProcessExecutor(_PoolExecutor):
+    """Fan jobs out across ``workers`` OS processes.
+
+    Jobs and results are pickled across the process boundary; telemetry
+    recorded inside a worker is shipped home with each result and
+    merged into the coordinator's registry.
+    """
+
+    pool = "process"
+
+
+class ThreadExecutor(_PoolExecutor):
     """Fan jobs out across ``workers`` threads in this process.
 
     Threads share memory, so there is no pickle tax on job arguments or
@@ -174,40 +77,9 @@ class ThreadExecutor:
     on 2 CPUs, two threads were slower than one worker on both job
     families: 12.8 vs 14.2 grid cells/s, and 7.7 vs 10.7 lifetime
     curves/s on the kernel engine.
-
-    Results are returned in submission order, and jobs being pure
-    functions of their arguments makes thread, process, and serial runs
-    bit-identical — the same determinism contract as the other two
-    executors.
     """
 
-    def __init__(self, workers: Optional[int] = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ConfigError(f"need at least 1 worker, got {workers}")
-        self.workers = workers
-
-    def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        return list(self.imap(fn, items))
-
-    def imap(
-        self, fn: Callable[[Any], Any], items: Iterable[Any]
-    ) -> Iterator[Any]:
-        """Yield results in submission order as workers finish them."""
-        items = list(items)
-        if not items:
-            return
-        workers = min(self.workers, len(items))
-        if workers == 1:
-            for item in items:
-                yield fn(item)
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, items)
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(workers={self.workers})"
+    pool = "thread"
 
 
 # --- supervised workers ------------------------------------------------------

@@ -2,8 +2,11 @@
 
 ``GridRunner`` turns a (schemes x pec_points x workloads) request into
 an ordered list of independent cell jobs, satisfies as many as it can
-from the result store, fans the rest out through the configured
-executor, and assembles the
+from the result store, runs the rest — in-process for a
+:class:`SerialExecutor` or a single pending job, otherwise on the
+supervised workers of a
+:class:`~repro.campaign.supervisor.CellSupervisor` sized by the
+executor value — and assembles the
 :class:`~repro.harness.grid.EvaluationGrid` in the canonical
 pec -> workload -> scheme order regardless of completion order.
 
@@ -30,7 +33,7 @@ from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SsdSpec
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PoisonCellError
 from repro.experiments.registry import WORKLOADS
 from repro.harness.cache import cell_fingerprint
 from repro.harness.cells import (
@@ -38,7 +41,11 @@ from repro.harness.cells import (
     PAPER_SCHEMES,
     run_workload_cell,
 )
-from repro.harness.executors import Executor, SerialExecutor
+from repro.harness.executors import (
+    ProcessExecutor,
+    SerialExecutor,
+    ThreadExecutor,
+)
 from repro.harness.grid import EvaluationGrid, GridCell
 from repro.harness.store import ResultStore
 from repro.rng import derive
@@ -252,16 +259,20 @@ class RunStats:
         return self.executed + self.cached
 
 
+_ExecutorValue = Union[SerialExecutor, ProcessExecutor, ThreadExecutor]
+
+
 class GridRunner:
-    """Executes evaluation grids through an executor and a cache."""
+    """Executes evaluation grids on supervised workers and a cache."""
 
     def __init__(
         self,
-        executor: Optional[Executor] = None,
+        executor: Optional[_ExecutorValue] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         cache: Optional[ResultStore] = None,
     ):
-        """``cache`` accepts any :class:`ResultStore`; ``cache_dir`` is
+        """``executor`` sizes the fan-out (serial by default);
+        ``cache`` accepts any :class:`ResultStore`; ``cache_dir`` is
         shorthand for ``cache=ShardedResultStore(cache_dir)``. Passing
         both is ambiguous.
         """
@@ -304,13 +315,21 @@ class GridRunner:
         The reusable core of :meth:`run` — the declarative experiment
         layer (:func:`repro.experiments.run_experiments`) feeds
         :class:`CellJob` lists resolved from ``ExperimentSpec`` objects
-        through the same cache-then-executor path, so CLI runs, spec
+        through the same cache-then-execute path, so CLI runs, spec
         files, and grid campaigns share cache entries. Jobs of any
         campaign family run here — lifetime jobs
         (:class:`repro.lifetime.spec.LifetimeJob`) interleave freely
         with grid cells; each needs only ``fingerprint``,
         ``store_meta()``, and :func:`execute_job` support. Updates
         :attr:`stats`.
+
+        Pending jobs run in-process when the executor is serial or only
+        one is pending; otherwise they fan out on the executor's pool
+        under a :class:`~repro.campaign.supervisor.CellSupervisor` with
+        no retries, and a failing job raises :class:`PoisonCellError`
+        carrying its ``ExcType: message``. Either way each result is
+        persisted the moment it arrives, so an interrupted campaign
+        keeps every completed cell and resumes from there.
         """
         reports: List[Optional[Any]] = [None] * len(jobs)
         pending: List[int] = []
@@ -324,20 +343,56 @@ class GridRunner:
         else:
             pending = list(range(len(jobs)))
 
-        # Stream results out of the executor and persist each one the
-        # moment it arrives, so an interrupted campaign keeps every
-        # completed cell and resumes from there.
-        fresh = self.executor.imap(execute_job, [jobs[i] for i in pending])
-        for index, report in zip(pending, fresh):
-            reports[index] = report
-            if self.cache is not None:
-                job = jobs[index]
-                self.cache.put(job.fingerprint, report, meta=job.store_meta())
+        if min(self.executor.workers, len(pending)) <= 1:
+            for index in pending:
+                self._finish(jobs, reports, index, execute_job(jobs[index]))
+        else:
+            self._fan_out(jobs, reports, pending)
 
         self.stats = RunStats(
             executed=len(pending), cached=len(jobs) - len(pending)
         )
         return reports
+
+    def _finish(
+        self, jobs: Sequence[Any], reports: List[Any], index: int, report: Any
+    ) -> None:
+        reports[index] = report
+        if self.cache is not None:
+            job = jobs[index]
+            self.cache.put(job.fingerprint, report, meta=job.store_meta())
+
+    def _fan_out(
+        self, jobs: Sequence[Any], reports: List[Any], pending: List[int]
+    ) -> None:
+        # Lazy: repro.campaign.supervisor imports this module.
+        from repro.campaign.supervisor import CellSupervisor, RetryPolicy
+
+        workers = self.executor.workers
+        supervisor = CellSupervisor(
+            policy=RetryPolicy(max_retries=0),
+            process_workers=workers,
+            thread_workers=workers,
+            engine_fallback=False,
+        )
+        try:
+            for index in pending:
+                supervisor.submit(index, jobs[index], self.executor.pool)
+            while True:
+                outcome = supervisor.next_outcome()
+                if outcome is None:
+                    break
+                if outcome.kind != "done":
+                    # Ad-hoc lifetime curve jobs carry no fingerprint.
+                    fingerprint = getattr(outcome.job, "fingerprint", "")
+                    raise PoisonCellError(
+                        f"job {outcome.index} failed: {outcome.error}",
+                        index=outcome.index,
+                        fingerprint=fingerprint,
+                    )
+                self._finish(jobs, reports, outcome.index, outcome.report)
+        finally:
+            supervisor.close()
 
     def run(
         self,
@@ -367,14 +422,14 @@ def run_grid(
     erase_suspension: bool = True,
     seed: int = 0xAE20,
     engine: str = "auto",
-    executor: Optional[Executor] = None,
+    executor: Optional[_ExecutorValue] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> EvaluationGrid:
     """Run a (scheme x pec x workload) grid.
 
     The one-call façade over :class:`GridRunner`: pass ``executor``
-    (e.g. ``ProcessExecutor(4)``) to parallelize across processes and
-    ``cache_dir`` to persist/reuse finished cells.
+    (e.g. ``ProcessExecutor(4)``) to run cells on that many supervised
+    worker processes and ``cache_dir`` to persist/reuse finished cells.
     """
     runner = GridRunner(executor=executor, cache_dir=cache_dir)
     return runner.run(

@@ -78,20 +78,19 @@ class _CurveJob:
     max_pec: int
     engine: str = "auto"
 
-
-def _run_curve(job: _CurveJob) -> LifetimeCurve:
-    """Cycle one block set to failure (module-level so workers can import it)."""
-    simulator = LifetimeSimulator(
-        job.profile,
-        job.key,
-        block_count=job.block_count,
-        step=job.step,
-        seed=job.seed,
-        mispredict_rate=job.mispredict_rate,
-        requirement=job.requirement,
-        engine=job.engine,
-    )
-    return simulator.run(max_pec=job.max_pec)
+    def execute(self) -> LifetimeCurve:
+        """Cycle one block set to failure."""
+        simulator = LifetimeSimulator(
+            self.profile,
+            self.key,
+            block_count=self.block_count,
+            step=self.step,
+            seed=self.seed,
+            mispredict_rate=self.mispredict_rate,
+            requirement=self.requirement,
+            engine=self.engine,
+        )
+        return simulator.run(max_pec=self.max_pec)
 
 
 def _builtin_profile_name(profile: ChipProfile) -> Optional[str]:
@@ -139,11 +138,11 @@ def compare_schemes(
     :class:`ChipProfile` objects keep the direct path (no cache — an
     unnamed profile has no stable fingerprint).
 
-    Each scheme's block set cycles independently, so the campaign fans
-    out across an executor from :mod:`repro.harness.executors` — pass
-    ``executor=ProcessExecutor(n)`` to run schemes concurrently; results
-    are identical to the serial run (each curve is a pure function of
-    its job).
+    Each scheme's block set cycles independently, so either path fans
+    out through :meth:`~repro.harness.runner.GridRunner.execute_jobs`
+    — pass ``executor=ProcessExecutor(n)`` to run schemes concurrently;
+    results are identical to the serial run (each curve is a pure
+    function of its job).
 
     Scheme keys resolve through :data:`repro.experiments.SCHEMES`, so
     registered plugin schemes compare alongside the built-ins; unknown
@@ -155,12 +154,13 @@ def compare_schemes(
     object erases otherwise; ``object``/``kernel`` force one path
     (``kernel`` raises for schemes without a kernel).
     """
+    from repro.harness.runner import GridRunner
+
     for key in scheme_keys:
         SCHEMES.get(key)
     profile_name = _builtin_profile_name(profile)
     if profile_name is not None:
         # Unified path: LifetimeSpec -> LifetimeJob -> GridRunner.
-        from repro.harness.runner import GridRunner
         from repro.lifetime.spec import LifetimeSpec
 
         spec = LifetimeSpec(
@@ -199,10 +199,7 @@ def compare_schemes(
         )
         for key in scheme_keys
     ]
-    if executor is None:
-        curves = [_run_curve(job) for job in jobs]
-    else:
-        curves = executor.map(_run_curve, jobs)
+    curves = GridRunner(executor=executor).execute_jobs(jobs)
     comparison.curves = dict(zip(scheme_keys, curves))
     return comparison
 

@@ -92,13 +92,13 @@ def campaign_metrics(
         ),
         pool_pending=reg.gauge(
             "repro_campaign_pool_pending",
-            "Cells routed to the pool and not yet completed.",
+            "Cells queued on the pool and not yet started, "
+            "scheduled retries included.",
             labels=("pool",),
         ),
         pool_inflight=reg.gauge(
             "repro_campaign_pool_inflight",
-            "Cells concurrently executing in the pool "
-            "(min(workers, pending) estimate).",
+            "Cells executing on the pool's workers right now.",
             labels=("pool",),
         ),
         pool_workers=reg.gauge(

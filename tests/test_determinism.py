@@ -78,12 +78,41 @@ def test_thread_executor_api():
 
     from repro.errors import ConfigError
 
-    executor = ThreadExecutor(3)
-    assert executor.map(abs, [-2, 1, -3]) == [2, 1, 3]
-    assert list(executor.imap(abs, [])) == []
-    assert "workers=3" in repr(executor)
+    assert repr(ThreadExecutor(3)) == "ThreadExecutor(workers=3)"
     with _pytest.raises(ConfigError):
         ThreadExecutor(0)
+
+
+@pytest.mark.parametrize("executor", [ProcessExecutor(2), ThreadExecutor(2)])
+def test_failing_job_raises_poison_and_keeps_finished_cells(
+    tmp_path, executor
+):
+    from repro.errors import PoisonCellError
+    from repro.harness.runner import CellJob
+
+    spec = SsdSpec.small_test(seed=3)
+    good = [
+        CellJob(scheme=scheme, pec=0, workload="hm", spec=spec,
+                requests=120, erase_suspension=True, seed=1)
+        for scheme in ("baseline", "aero")
+    ]
+    bad = CellJob(scheme="no_such_scheme", pec=0, workload="hm",
+                  spec=spec, requests=120, erase_suspension=True, seed=1)
+    runner = GridRunner(executor=executor, cache_dir=tmp_path)
+    with pytest.raises(PoisonCellError, match="ConfigError: unknown scheme"
+                       ) as raised:
+        runner.execute_jobs(good + [bad])
+    assert raised.value.index == 2
+    assert raised.value.fingerprint == bad.fingerprint
+    # every cell that finished before the failure is in the store...
+    finished = len(ShardedResultStore(tmp_path))
+    assert finished >= 1
+    # ...and a rerun serves it from there
+    rerun = GridRunner(executor=executor, cache_dir=tmp_path)
+    reports = rerun.execute_jobs(good)
+    assert rerun.stats.cached == finished
+    assert rerun.stats.executed == len(good) - finished
+    assert reports == GridRunner().execute_jobs(good)
 
 
 def test_thread_lifetime_comparison_equals_serial():

@@ -185,6 +185,23 @@ def test_adhoc_profile_cannot_cache():
         compare_schemes(adhoc, scheme_keys=("baseline",), cache_dir="x")
 
 
+def test_adhoc_profile_process_fan_out_equals_serial():
+    import dataclasses
+
+    from repro.harness import ProcessExecutor
+
+    adhoc = dataclasses.replace(
+        profile_by_name(SPEC.profile), name="tweaked"
+    )
+    kwargs = dict(
+        scheme_keys=("baseline", "aero"), block_count=8, step=200,
+        seed=6, max_pec=2000,
+    )
+    serial = compare_schemes(adhoc, **kwargs)
+    fanned = compare_schemes(adhoc, executor=ProcessExecutor(2), **kwargs)
+    assert fanned == serial
+
+
 # --- mixed-family campaigns --------------------------------------------------
 
 

@@ -250,6 +250,33 @@ def test_final_progress_reaches_telemetry_without_callback(tmp_path):
         assert families["repro_campaign_cells_planned"].value() == 1
 
 
+def test_pool_gauges_are_exact_from_on_cell(tmp_path):
+    """Two thread workers over four kernel cells: at each ``on_cell``
+    the gauges show the supervisor's own queue and in-flight counts."""
+    seen = []
+
+    def read_gauges(index, job, report):
+        pending = registry.get("repro_campaign_pool_pending")
+        inflight = registry.get("repro_campaign_pool_inflight")
+        seen.append(tuple(
+            (family.labels(pool="thread").value,
+             family.labels(pool="process").value)
+            for family in (pending, inflight)
+        ))
+
+    with scoped_registry() as registry:
+        run_campaign(SPEC, tmp_path, thread_workers=2, on_cell=read_gauges)
+        workers = registry.get("repro_campaign_pool_workers")
+        assert workers.labels(pool="thread").value == 2
+    # (pending, inflight) as (thread, process) pairs per executed cell
+    assert seen == [
+        ((2, 0), (1, 0)),
+        ((1, 0), (1, 0)),
+        ((0, 0), (1, 0)),
+        ((0, 0), (0, 0)),
+    ]
+
+
 # --- crash + resume accounting (the acceptance criterion) --------------------
 
 
@@ -584,7 +611,7 @@ def test_merge_snapshot_skips_empty_histograms_and_none():
 def test_process_executor_forwards_child_telemetry():
     from repro.config import SsdSpec
     from repro.harness import ProcessExecutor
-    from repro.harness.runner import CellJob, execute_job
+    from repro.harness.runner import CellJob
 
     spec = SsdSpec.small_test(seed=3)
     jobs = [
@@ -594,7 +621,7 @@ def test_process_executor_forwards_child_telemetry():
                 requests=120, erase_suspension=True, seed=2),
     ]
     with scoped_registry() as registry:
-        ProcessExecutor(2).map(execute_job, jobs)
+        GridRunner(executor=ProcessExecutor(2)).execute_jobs(jobs)
         replays = registry.get("repro_ssd_replays_total")
         assert replays is not None and replays.value == 2
         latency = registry.get("repro_ssd_latency_seconds")
