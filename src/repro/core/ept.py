@@ -94,8 +94,19 @@ class EraseTimingTable:
 
     def lookup_pulses(self, profile: ChipProfile, loop: int, fail_bits: int) -> int:
         """Pulse quanta for ``EP(loop)`` given ``F(loop-1) = fail_bits``."""
-        row = self.row(min(loop, self.loops))
-        range_index = profile.failbit_range_index(fail_bits)
+        return self.pulses_in_range(
+            loop, profile.failbit_range_index(fail_bits)
+        )
+
+    def pulses_in_range(self, loop: int, range_index: int) -> int:
+        """Pulse quanta for ``EP(loop)`` when ``F(loop-1)`` falls in
+        fail-bit range ``range_index``."""
+        rows = self.rows
+        if 1 <= loop <= len(rows):
+            row = rows[loop - 1]
+        else:
+            # Past the table the last row applies; row() rejects loop < 1.
+            row = self.row(min(loop, len(rows)))
         if range_index >= len(row):
             return self.default_pulses
         return row[range_index]

@@ -10,17 +10,19 @@ so the scheme knows an under-erased verify result is intentional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.ept import EraseTimingTable
 from repro.errors import ConfigError
 from repro.nand.chip_types import ChipProfile
 
 
-@dataclass(frozen=True)
-class PulsePrediction:
-    """Outcome of one FELP lookup."""
+class PulsePrediction(NamedTuple):
+    """Outcome of one FELP lookup.
+
+    Immutable; a named tuple rather than a frozen dataclass because
+    AERO builds one per erase loop, and a tuple is built ~4x faster.
+    """
 
     #: Loop the prediction is for (EP index, 1-based).
     loop: int
@@ -94,21 +96,14 @@ class FelpPredictor:
                 reduced=False,
                 aggressive=False,
             )
+        pulses = self.conservative.pulses_in_range(loop, range_index)
+        aggressive = False
         if use_margin and self.aggressive is not None:
-            pulses = self.aggressive.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
-            conservative_pulses = self.conservative.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
+            conservative_pulses = pulses
+            pulses = self.aggressive.pulses_in_range(loop, range_index)
             # An aggressive entry equal to the conservative one is not
             # an intentional under-erase (e.g. Table 1 row 5: t2 == t1).
             aggressive = pulses != conservative_pulses
-        else:
-            pulses = self.conservative.lookup_pulses(
-                self.profile, loop, fail_bits
-            )
-            aggressive = False
         return PulsePrediction(
             loop=loop,
             fail_bits=fail_bits,

@@ -82,8 +82,7 @@ class DpesScheme(EraseScheme):
             result.rber_offset = PROGRAM_WINDOW_RBER_OFFSET
         per_loop = self.profile.pulses_per_loop
         for loop in range(1, self.profile.max_loops + 1):
-            self._pulse(state, result, loop, per_loop)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._ladder_step(state, result, rng, loop, per_loop)
             if state.passes(fail_bits):
                 result.completed = True
                 result.loops = loop

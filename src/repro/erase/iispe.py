@@ -59,8 +59,7 @@ class IntelligentIspeScheme(EraseScheme):
         ceiling = self.profile.max_loops + EXTRA_LOOPS
         loop = start
         while loop <= ceiling:
-            self._pulse(state, result, loop, per_loop)
-            fail_bits = self._verify(state, result, rng)
+            fail_bits = self._ladder_step(state, result, rng, loop, per_loop)
             if state.passes(fail_bits):
                 result.completed = True
                 break

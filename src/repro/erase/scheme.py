@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,26 +45,7 @@ class EraseSegment:
             raise ValueError("segment duration must be non-negative")
 
 
-# Frozen segments are shareable, and erase ladders draw from a handful
-# of (duration, loop, pulses) combinations, so the record methods below
-# intern them instead of constructing ~5 fresh objects per erase.
-_SEGMENT_CACHE: dict = {}
-
-
-def _segment(
-    kind: SegmentKind, duration_us: float, loop: int, pulses: int = 0
-) -> EraseSegment:
-    key = (kind, duration_us, loop, pulses)
-    segment = _SEGMENT_CACHE.get(key)
-    if segment is None:
-        segment = EraseSegment(
-            kind=kind, duration_us=duration_us, loop=loop, pulses=pulses
-        )
-        _SEGMENT_CACHE[key] = segment
-    return segment
-
-
-@dataclass
+@dataclass(slots=True)
 class EraseOperationResult:
     """Outcome of one erase operation.
 
@@ -109,24 +90,6 @@ class EraseOperationResult:
             if segment.kind is SegmentKind.ERASE_PULSE
         )
 
-    def add_pulse(self, timing: NandTiming, loop: int, pulses: int) -> None:
-        """Record an erase-pulse segment."""
-        self.segments.append(
-            _segment(
-                SegmentKind.ERASE_PULSE,
-                timing.erase_pulse_us(pulses),
-                loop,
-                pulses,
-            )
-        )
-        self.total_pulses += pulses
-
-    def add_verify(self, timing: NandTiming, loop: int) -> None:
-        """Record a verify-read segment."""
-        self.segments.append(
-            _segment(SegmentKind.VERIFY_READ, timing.t_vr_us, loop)
-        )
-
 
 class EraseScheme(ABC):
     """Base class for erase schemes.
@@ -142,6 +105,13 @@ class EraseScheme(ABC):
     def __init__(self, profile: ChipProfile):
         self.profile = profile
         self.timing = NandTiming.from_profile(profile)
+        # Segments are frozen, and a ladder only ever records a handful
+        # of (loop, pulses) steps, so each scheme interns its own
+        # (erase-pulse, verify-read) pairs, timed from ``self.timing``
+        # (fixed for the scheme's life).
+        self._step_segments: Dict[
+            Tuple[int, int], Tuple[EraseSegment, EraseSegment]
+        ] = {}
 
     def erase(
         self,
@@ -206,29 +176,40 @@ class EraseScheme(ABC):
 
     # --- shared helpers ---------------------------------------------------------
 
-    def _pulse(
-        self,
-        state: EraseState,
-        result: EraseOperationResult,
-        loop: int,
-        pulses: int,
-    ) -> None:
-        """Run one erase-pulse step of ``pulses`` quanta at ``loop``."""
-        if loop != state.loop:
-            state.start_loop(loop)
-        if pulses > 0:
-            state.apply_pulses(pulses)
-        result.add_pulse(self.timing, loop, pulses)
-
-    def _verify(
+    def _ladder_step(
         self,
         state: EraseState,
         result: EraseOperationResult,
         rng: np.random.Generator,
+        loop: int,
+        pulses: int,
     ) -> int:
-        """Run one verify-read step; returns the measured fail-bit count."""
+        """Run one ladder step and return the measured fail-bit count.
+
+        The step is an erase pulse of ``pulses`` quanta at ``loop``,
+        then a verify read at the same loop.
+        """
+        if loop != state.loop:
+            state.start_loop(loop)
+        if pulses > 0:
+            state.apply_pulses(pulses)
+        segments = self._step_segments.get((loop, pulses))
+        if segments is None:
+            segments = (
+                EraseSegment(
+                    SegmentKind.ERASE_PULSE,
+                    self.timing.erase_pulse_us(pulses),
+                    loop,
+                    pulses,
+                ),
+                EraseSegment(
+                    SegmentKind.VERIFY_READ, self.timing.t_vr_us, loop
+                ),
+            )
+            self._step_segments[(loop, pulses)] = segments
+        result.segments.extend(segments)
+        result.total_pulses += pulses
         fail_bits = state.verify_read(rng)
-        result.add_verify(self.timing, state.loop)
         result.fail_bit_trace.append(fail_bits)
         return fail_bits
 

@@ -30,7 +30,8 @@ How identity is preserved:
   the kernel syncs the victim block's write pointer and calls the real
   ``ftl._erase_block``, so scheme code, ``ftl.rng`` draws, wear
   accounting, SEF/feature-command bookkeeping, and per-erase
-  ``FtlStats`` updates are the object path's own, in the same order.
+  ``FtlStats`` updates are the object path's own, in the same order
+  (telemetry reads those stats once, when the replay ends).
 * **Mutable device state** — block wear, scheme memories, and erase
   statistics live on the real objects throughout; page states, the
   mapping table, the per-plane allocators, and the bulk ``FtlStats``
@@ -257,7 +258,9 @@ def _lean_ftl(ftl) -> _LeanFtl:
     lmap_get = lmap.get
 
     # Bulk counters accumulate locally and flush in write_back (nothing
-    # reads them mid-run; per-erase stats update live via _erase_block).
+    # reads them mid-run). The FtlStats erase counters and the buffered
+    # erase latencies are updated by _erase_block itself, per erase;
+    # telemetry exports them once, in observe_replay at replay end.
     n_host_writes = 0
     n_gc_moves = 0
     n_wl_moves = 0
@@ -363,8 +366,8 @@ def _lean_ftl(ftl) -> _LeanFtl:
             blk_valid[gb] = gval
         n_gc_moves += moves
         # Erase physics through the real FTL: scheme code, ftl.rng
-        # draws, wear/SEF/feature accounting and per-erase stats all
-        # happen on the real objects, in object-path order.
+        # draws, wear/SEF/feature accounting and the FtlStats erase
+        # counters all happen on the real objects, in object-path order.
         # finish_erase only needs the write pointer synced (it resets
         # pages up to it).
         block = blk_obj[victim]

@@ -18,6 +18,7 @@ paper reports from silicon; they are not vendor data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Tuple
@@ -274,11 +275,8 @@ class ChipProfile:
         Returns 0 for ``F <= gamma``, k for ``(k-1)*delta < F <= k*delta``,
         and ``f_high_deltas + 1`` for counts above FHIGH (no reduction).
         """
-        edges = self.failbit_range_edges()
-        for index, edge in enumerate(edges):
-            if fail_bits <= edge:
-                return index
-        return len(edges)
+        # Index of the first edge >= fail_bits (edges ascend).
+        return bisect_left(self._failbit_range_edges, fail_bits)
 
 
 # --- the three characterized chip families ------------------------------------

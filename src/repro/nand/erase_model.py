@@ -38,7 +38,7 @@ equals PEC/1000 and the characterization figures calibrate directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -58,8 +58,14 @@ FAILBIT_SATURATION_DELTAS = 8.0
 #: Standard deviation of the per-erase required-work jitter (pulses).
 ERASE_JITTER_STD = 0.35
 
+#: ``high - low`` of the verify-read uniform draws, computed the way
+#: numpy's ``Generator.uniform`` computes it.
+_SPAN_085_115 = 1.15 - 0.85
+_SPAN_M065_015 = 0.15 - -0.65
+_SPAN_097_103 = 1.03 - 0.97
 
-@dataclass
+
+@dataclass(slots=True)
 class EraseState:
     """Ladder position of one in-flight erase operation.
 
@@ -84,7 +90,6 @@ class EraseState:
     loops_started: int = 0
     skipped_loops: int = 0
     last_fail_bits: Optional[int] = None
-    pulse_log: List[int] = field(default_factory=list)
 
     # --- queries ------------------------------------------------------------
 
@@ -152,7 +157,7 @@ class EraseState:
                 1.0 + _skip_stress(self.profile) * self.skipped_loops
             )
         # Hot path: the per-pulse state lives in locals for the loop;
-        # the counters/log are batch-updated after (nothing reads them
+        # the counters are batch-updated after (nothing reads them
         # mid-loop). Progress still advances one pulse at a time so the
         # float sequence is unchanged.
         added_damage = 0.0
@@ -165,7 +170,6 @@ class EraseState:
         self.progress = progress
         self.pulses_in_loop += count
         self.total_pulses += count
-        self.pulse_log.extend([self.loop] * count)
         self.damage += added_damage
         return added_damage
 
@@ -177,13 +181,19 @@ class EraseState:
         tightly ``~gamma`` at ``r == 1`` and saturating near ``8*delta``.
         Measurement noise is multiplicative (``failbit_noise``).
         """
+        # Draws use numpy's own scalar formulas on the raw samplers
+        # (``uniform(a, b) == a + (b - a) * random()``,
+        # ``normal(0, s) == 0 + s * standard_normal()``): the same
+        # floats from the same stream positions, and a third of what a
+        # scalar ``uniform()`` call costs.
         profile = self.profile
+        random = rng.random
         deficit = math.ceil(self.required - self.progress - 1e-9)
         remaining = deficit if deficit > 0 else 0
         if remaining <= 0:
-            true_count = rng.uniform(0.0, 0.6 * profile.f_pass)
+            true_count = 0.6 * profile.f_pass * random()
         elif remaining == 1:
-            true_count = profile.gamma * rng.uniform(0.85, 1.15)
+            true_count = profile.gamma * (0.85 + _SPAN_085_115 * random())
         else:
             # Centered slightly below gamma + delta*(r-1): about two
             # thirds of blocks needing r more pulses report a count in
@@ -193,11 +203,15 @@ class EraseState:
             true_count = (
                 profile.gamma
                 + profile.delta * (remaining - 1)
-                + rng.uniform(-0.65, 0.15) * profile.delta
+                + (-0.65 + _SPAN_M065_015 * random()) * profile.delta
             )
         saturation = FAILBIT_SATURATION_DELTAS * profile.delta
-        true_count = min(true_count, saturation * rng.uniform(0.97, 1.03))
-        measured = true_count * (1.0 + rng.normal(0.0, profile.failbit_noise))
+        true_count = min(
+            true_count, saturation * (0.97 + _SPAN_097_103 * random())
+        )
+        measured = true_count * (
+            1.0 + profile.failbit_noise * rng.standard_normal()
+        )
         fail_bits = max(0, int(round(measured)))
         self.last_fail_bits = fail_bits
         return fail_bits
@@ -248,6 +262,13 @@ class BlockEraseModel:
             rng, work.rate_mean, work.rate_std, work.rate_low, work.rate_high
         )
         self._jitter_rng = derive_rng(seed, "erase-jitter", *keys)
+        # Jitter-free work at the last wear age asked for: an erase
+        # asks at one age twice (required work, then the baseline
+        # damage that normalizes its wear step), and the age only
+        # moves when the erase is accounted.
+        self._work_age: Optional[float] = None
+        self._work_raw = 0.0
+        self._work_floor = 0.0
 
     # --- required work ---------------------------------------------------------
 
@@ -257,7 +278,8 @@ class BlockEraseModel:
 
     def required_pulses(self, age_kilocycles: float) -> int:
         """Sample this erase's required pulses (adds small operation jitter)."""
-        jitter = float(self._jitter_rng.normal(0.0, ERASE_JITTER_STD))
+        # ``normal(0, s)`` is numpy's ``0 + s * standard_normal()``.
+        jitter = ERASE_JITTER_STD * self._jitter_rng.standard_normal()
         return self._pulses(age_kilocycles, jitter)
 
     def jitter_batch(self, count: int) -> np.ndarray:
@@ -272,15 +294,19 @@ class BlockEraseModel:
         return self._jitter_rng.normal(0.0, ERASE_JITTER_STD, size=int(count))
 
     def _pulses(self, age_kilocycles: float, jitter: float) -> int:
-        if age_kilocycles < 0:
-            raise EraseSchemeError("wear age must be non-negative")
-        work = self.profile.erase_work
-        raw = (
-            self.base
-            + self.rate * age_kilocycles ** work.pec_exponent
-            + jitter
-        )
-        floor = work.floor_pulses(int(round(age_kilocycles * 1000)))
+        if age_kilocycles != self._work_age:
+            if age_kilocycles < 0:
+                raise EraseSchemeError("wear age must be non-negative")
+            work = self.profile.erase_work
+            self._work_raw = (
+                self.base + self.rate * age_kilocycles ** work.pec_exponent
+            )
+            self._work_floor = work.floor_pulses(
+                int(round(age_kilocycles * 1000))
+            )
+            self._work_age = age_kilocycles
+        raw = self._work_raw + jitter
+        floor = self._work_floor
         bounded = max(raw, floor)
         return int(max(1, min(self.profile.max_pulses, round(bounded))))
 
@@ -318,8 +344,8 @@ class BlockEraseModel:
         The wear-age update divides actual damage by this reference, so
         Baseline cycling ages a block by exactly one cycle per erase.
         """
-        loops = self.nispe(age_kilocycles)
         per_loop = self.profile.pulses_per_loop
+        loops = (self._pulses(age_kilocycles, 0.0) + per_loop - 1) // per_loop
         return per_loop * self.profile.pulse_damage_prefix(loops)
 
 

@@ -419,11 +419,16 @@ def observe_replay(report, stats, registry=None) -> None:
     :class:`~repro.ftl.stats.FtlStats` — per-event hot loops stay
     untouched. FTL counters are flushed as deltas since the previous
     flush of the same stats object, so a drive cycled through several
-    measured windows never double-counts.
+    measured windows never double-counts. The flushed FTL series are
+    the host read/write, GC move/job and erase/erase-pulse counters,
+    plus every erase latency buffered on the stats since the last
+    flush (so erases done while preconditioning count in the first
+    replay after them).
     """
     import numpy as np
 
     metrics = ssd_metrics(registry)
+    erase_metrics = ftl_erase_metrics(registry)
     metrics.replays.inc()
     for op, recorder in (("read", report.reads), ("write", report.writes)):
         values = recorder.values
@@ -446,12 +451,20 @@ def observe_replay(report, stats, registry=None) -> None:
         ("host_writes", metrics.host_writes),
         ("gc_page_moves", metrics.gc_page_moves),
         ("gc_jobs", metrics.gc_jobs),
+        ("erases", erase_metrics.erases),
+        ("erase_pulses_total", erase_metrics.pulses),
     ):
         current = getattr(stats, attr)
         delta = current - flushed.get(attr, 0)
         if delta > 0:
             counter.inc(delta)
         flushed[attr] = current
+    latencies = stats.unexported_erase_latencies_us
+    if latencies:
+        erase_metrics.latency.observe_many(
+            np.asarray(latencies, dtype=float) / 1e6
+        )
+        latencies.clear()
     metrics.waf.set(
         report.extra.get("waf", stats.write_amplification)
     )

@@ -459,6 +459,93 @@ def test_replay_metrics_identical_across_engines():
         ].samples, name
 
 
+class _CountingRegistry(MetricsRegistry):
+    """Counts family get-or-create calls (one per handle lookup)."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def _get_or_create(self, *args, **kwargs):
+        self.lookups += 1
+        return super()._get_or_create(*args, **kwargs)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "object"])
+def test_registry_lookups_do_not_scale_with_erases(engine):
+    counts = {}
+    for requests in (120, 480):
+        registry = _CountingRegistry()
+        with scoped_registry(registry):
+            report = run_workload_cell(
+                "aero", 2500, "ali.A", requests=requests, seed=7,
+                engine=engine,
+            )
+        counts[requests] = (registry.lookups, report.erases)
+    (small_lookups, small_erases), (large_lookups, large_erases) = (
+        counts[120], counts[480]
+    )
+    assert large_erases > small_erases + 100
+    assert small_lookups == large_lookups
+
+
+def _erase_series(registry):
+    families = families_of(registry)
+    latency = families["repro_ssd_erase_latency_seconds"]
+    return (
+        families["repro_ssd_erases_total"].value(),
+        families["repro_ssd_erase_pulses_total"].value(),
+        latency.value(sample_name="repro_ssd_erase_latency_seconds_count"),
+        latency.value(sample_name="repro_ssd_erase_latency_seconds_sum"),
+    )
+
+
+@pytest.mark.parametrize("engine", ["kernel", "object"])
+def test_erase_series_equal_ftl_stats_across_replays(engine):
+    from repro.config import SsdSpec
+    from repro.experiments.registry import WORKLOADS
+    from repro.kernels.cell import precondition_kernel, run_trace_kernel
+    from repro.ssd.builder import build_ssd
+    from repro.workloads.synthetic import SyntheticTraceGenerator
+
+    spec = SsdSpec.small_test(seed=5)
+    footprint = int(spec.logical_pages * 0.9)
+    traces = [
+        SyntheticTraceGenerator(
+            WORKLOADS.resolve("ali.A"),
+            footprint_bytes=int(spec.logical_bytes * 0.85),
+            seed=seed,
+        ).generate(200)
+        for seed in (1, 2)
+    ]
+    with scoped_registry() as registry:
+        ssd = build_ssd(spec, "aero", pec_setpoint=2500)
+        stats = ssd.ftl.stats
+        if engine == "kernel":
+            precondition_kernel(ssd, footprint)
+        else:
+            ssd.precondition(footprint_pages=footprint)
+        precondition_erases = stats.erases
+        assert precondition_erases > 0
+        erases_seen = []
+        for trace in traces:
+            if engine == "kernel":
+                run_trace_kernel(ssd, trace)
+            else:
+                ssd.run_trace(trace)
+            erases, pulses, count, total = _erase_series(registry)
+            # Exported at replay end, precondition erases included, and
+            # each replay adds only its own delta.
+            assert erases == count == stats.erases
+            assert pulses == stats.erase_pulses_total
+            assert total == pytest.approx(
+                stats.erase_latency_total_us / 1e6, rel=1e-9
+            )
+            assert not stats.unexported_erase_latencies_us
+            erases_seen.append(erases)
+        assert precondition_erases < erases_seen[0] < erases_seen[1]
+
+
 def test_cache_backend_counts_hits_misses_and_bad_entries(tmp_path, report):
     with scoped_registry() as registry:
         cache = ShardedResultStore(tmp_path)
