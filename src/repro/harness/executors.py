@@ -75,7 +75,7 @@ class ThreadExecutor(_PoolExecutor):
     Threads share memory, so there is no pickle tax on job arguments or
     results, but jobs only overlap where they release the GIL. Measured
     on 2 CPUs, two threads were slower than one worker on both job
-    families: 12.8 vs 14.2 grid cells/s, and 7.7 vs 10.7 lifetime
+    families: 12.8 vs 14.2 grid cells/s, and 6.1 vs 9.2 lifetime
     curves/s on the kernel engine.
     """
 

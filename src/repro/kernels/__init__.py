@@ -1,7 +1,8 @@
 """Vectorized batch kernels for the simulator's hot paths.
 
 The package holds the structure-of-arrays block state
-(:class:`BlockArrayState`) and one batch erase kernel per built-in
+(:class:`BlockArrayState`, over a shareable
+:class:`BlockArrayPopulation`) and one batch erase kernel per built-in
 scheme. Schemes opt in by overriding
 :meth:`repro.erase.scheme.EraseScheme.batch_kernel`; campaign drivers
 call :func:`kernel_for_scheme` and fall back to the per-block object
@@ -28,7 +29,7 @@ from repro.kernels.erase import (
     KernelStats,
     MispeBatchKernel,
 )
-from repro.kernels.state import BlockArrayState
+from repro.kernels.state import BlockArrayPopulation, BlockArrayState
 
 #: Valid values of the campaign ``engine`` knob: ``auto`` prefers the
 #: vectorized batch kernel and falls back to the object path for
@@ -96,6 +97,7 @@ __all__ = [
     "BaselineBatchKernel",
     "BatchEraseKernel",
     "BatchEraseResult",
+    "BlockArrayPopulation",
     "BlockArrayState",
     "DpesBatchKernel",
     "ENGINES",

@@ -9,18 +9,28 @@ instead of one Python object per block. The batch erase kernels in
 which is what turns the lifetime and characterization hot loops from
 O(blocks) Python into a handful of vectorized operations.
 
-Bit-compatibility: the arrays are initialized *from* the existing
+The static half of that state lives in a :class:`BlockArrayPopulation`:
+the read-only ``base``/``rate`` arrays and a *jitter matrix* whose
+column ``k`` holds every block's ``k``-th erase-to-erase jitter draw.
+Every scheme draws exactly one jitter value per block per erase, so
+several states (the five schemes of a lifetime sweep) can share one
+population, each reading the matrix at its own column cursor; the
+lifetime simulator builds one population per ``(profile, seed,
+block_count)`` and never builds ``Block`` objects on the kernel path.
+
+Bit-compatibility: the population wraps the existing
 :class:`~repro.nand.erase_model.BlockEraseModel` instances (same seed
-derivation, same truncated-normal draws), and the per-erase jitter is
-drawn from each model's own jitter stream in buffered batches — NumPy
-``Generator`` array fills consume the stream exactly like repeated
-scalar draws, so the kernel path sees the same required-pulse sequence
-as the object path. The wear-age update mirrors
+derivation, same truncated-normal draws), and the matrix grows in
+``_JITTER_CHUNK``-column chunks drawn from each model's own jitter
+stream — NumPy ``Generator`` array fills consume the stream exactly
+like repeated scalar draws, so the kernel path sees the same
+required-pulse sequence as the object path. The wear-age update mirrors
 :meth:`~repro.nand.erase_model.WearState.record_erase` term for term.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import List, Sequence
 
 import numpy as np
@@ -34,12 +44,96 @@ from repro.nand.erase_model import (
     BlockEraseModel,
 )
 
-#: Jitter draws buffered per refill (one column is consumed per erase).
+#: Jitter-matrix columns drawn per growth step (one column per erase).
 _JITTER_CHUNK = 64
 
 #: Ladder headroom beyond ``max_loops`` covered by the damage lookup
 #: table (i-ISPE may escalate past the datasheet budget).
 _LOOP_HEADROOM = 4
+
+
+class BlockArrayPopulation:
+    """Static draws of a block population, as arrays, plus its jitter matrix.
+
+    ``base``, ``rate`` and ``sensitivity`` are read-only, so any number
+    of :class:`BlockArrayState` objects can share them. The jitter
+    matrix grows on demand, one ``_JITTER_CHUNK``-column chunk at a
+    time, under a lock (the schemes of a sweep may run on threads).
+
+    A *shared* population keeps every column it has drawn, so each
+    state reads the same sequence from column 0. A private one
+    (``shared=False``) serves a single state that reads its columns in
+    order, and keeps only the chunk holding the current column.
+    """
+
+    def __init__(
+        self,
+        profile: ChipProfile,
+        models: Sequence[BlockEraseModel],
+        shared: bool = True,
+    ):
+        if not models:
+            raise ConfigError("block array needs at least one block")
+        self.profile = profile
+        self.shared = shared
+        self._models: List[BlockEraseModel] = list(models)
+        self.count = len(self._models)
+        self.base = np.array([m.base for m in self._models], dtype=np.float64)
+        self.rate = np.array([m.rate for m in self._models], dtype=np.float64)
+        self.sensitivity = self.rate / profile.erase_work.rate_mean
+        for array in (self.base, self.rate, self.sensitivity):
+            array.setflags(write=False)
+        #: Chunks of the jitter matrix, ``(_JITTER_CHUNK, count)`` each:
+        #: row ``j`` of chunk ``c`` is column ``c * _JITTER_CHUNK + j``.
+        self._chunks: List[np.ndarray] = []
+        #: Leading chunks a private population has released.
+        self._released = 0
+        self._lock = threading.Lock()
+
+    @property
+    def columns(self) -> int:
+        """Jitter-matrix columns drawn so far."""
+        return (self._released + len(self._chunks)) * _JITTER_CHUNK
+
+    @property
+    def jitter_bytes(self) -> int:
+        """Bytes the jitter matrix holds now (``count x columns x 8``)."""
+        return sum(chunk.nbytes for chunk in self._chunks)
+
+    def jitter_column(self, column: int) -> np.ndarray:
+        """Every block's jitter draw for its ``column``-th erase (read-only).
+
+        Block ``i``'s value is the ``column``-th draw of its model's
+        jitter stream, i.e. what the ``column+1``-th
+        ``required_pulses`` call on that model would add.
+        """
+        chunk, row = divmod(column, _JITTER_CHUNK)
+        index = chunk - self._released
+        chunks = self._chunks
+        if index >= len(chunks):
+            self._grow(chunk)
+            index = chunk - self._released
+            chunks = self._chunks
+        if index < 0:
+            raise ConfigError(
+                f"jitter column {column} was released by this private "
+                "population (columns must be read in order)"
+            )
+        return chunks[index][row]
+
+    def _grow(self, chunk: int) -> None:
+        with self._lock:
+            while chunk - self._released >= len(self._chunks):
+                block = np.stack(
+                    [m.jitter_batch(_JITTER_CHUNK) for m in self._models],
+                    axis=1,
+                )
+                block.setflags(write=False)
+                if self.shared:
+                    self._chunks.append(block)
+                else:
+                    self._released += len(self._chunks)
+                    self._chunks = [block]
 
 
 class BlockArrayState:
@@ -48,19 +142,19 @@ class BlockArrayState:
     Mutable wear quantities (``age``, ``pec``, ``damage_total``,
     ``residual_fail_bits``, ``residual_nispe``) advance through
     :meth:`record_erase`; the static process-variation draws
-    (``base``, ``rate``, ``sensitivity``) are fixed at construction.
+    (``base``, ``rate``, ``sensitivity``) are the population's
+    read-only arrays.
     """
 
-    def __init__(self, profile: ChipProfile, models: Sequence[BlockEraseModel]):
-        if not models:
-            raise ConfigError("block array needs at least one block")
+    def __init__(self, population: BlockArrayPopulation):
+        profile = population.profile
         self.profile = profile
-        self.models: List[BlockEraseModel] = list(models)
-        n = len(self.models)
+        self.population = population
+        n = population.count
         self.count = n
-        self.base = np.array([m.base for m in self.models], dtype=np.float64)
-        self.rate = np.array([m.rate for m in self.models], dtype=np.float64)
-        self.sensitivity = self.rate / profile.erase_work.rate_mean
+        self.base = population.base
+        self.rate = population.rate
+        self.sensitivity = population.sensitivity
         self.age = np.zeros(n, dtype=np.float64)
         self.pec = np.zeros(n, dtype=np.int64)
         self.damage_total = np.zeros(n, dtype=np.float64)
@@ -76,17 +170,23 @@ class BlockArrayState:
         )
         #: ``cum_loop_damage[k]`` = sum of pulse_damage over loops 1..k.
         self.cum_loop_damage = np.cumsum(self.pulse_damage_lut)
-        self._jitter_buf: np.ndarray | None = None
-        self._jitter_pos = 0
+        #: Next jitter-matrix column this state reads.
+        self._jitter_column = 0
 
     # --- construction ---------------------------------------------------------
 
     @classmethod
     def from_blocks(cls, blocks: Sequence[Block]) -> "BlockArrayState":
-        """Mirror a list of ``Block`` objects, wear state included."""
+        """Mirror a list of ``Block`` objects, wear state included.
+
+        The blocks' models go into a private population, which draws
+        from their jitter streams where they stand.
+        """
         if not blocks:
             raise ConfigError("block array needs at least one block")
-        state = cls(blocks[0].profile, [b.erase_model for b in blocks])
+        state = cls(BlockArrayPopulation(
+            blocks[0].profile, [b.erase_model for b in blocks], shared=False
+        ))
         state.age = np.array([b.wear.age_kilocycles for b in blocks])
         state.pec = np.array([b.wear.pec for b in blocks], dtype=np.int64)
         state.damage_total = np.array([b.wear.damage_total for b in blocks])
@@ -101,19 +201,13 @@ class BlockArrayState:
     # --- required erase work --------------------------------------------------
 
     def draw_jitter(self) -> np.ndarray:
-        """One erase-to-erase jitter draw per block (buffered refills).
+        """One erase-to-erase jitter draw per block: the next matrix column.
 
-        Consumes each block's own jitter stream, so the sequence seen
-        by block ``i`` is identical to what ``required_pulses`` on the
-        corresponding :class:`BlockEraseModel` would have drawn.
+        Block ``i`` sees exactly the sequence ``required_pulses`` on
+        the corresponding :class:`BlockEraseModel` would have drawn.
         """
-        if self._jitter_buf is None or self._jitter_pos >= self._jitter_buf.shape[1]:
-            self._jitter_buf = np.stack(
-                [m.jitter_batch(_JITTER_CHUNK) for m in self.models], axis=0
-            )
-            self._jitter_pos = 0
-        column = self._jitter_buf[:, self._jitter_pos]
-        self._jitter_pos += 1
+        column = self.population.jitter_column(self._jitter_column)
+        self._jitter_column += 1
         return column
 
     def _floor_pulses(self, age: np.ndarray) -> np.ndarray:

@@ -12,22 +12,34 @@ gating) against the block's erase physics — in coarse steps: one
 representative erase is simulated per ``step`` cycles and accounted
 ``step`` times, which keeps trajectories faithful while making a full
 five-scheme sweep take seconds.
+
+On the kernel engine the five block sets are one population: block
+``i`` of every scheme's set has the same seed, so the simulator shares
+one :class:`~repro.kernels.state.BlockArrayPopulation` per ``(profile,
+seed, block_count)`` across schemes (and across sweeps with the same
+key) instead of building ``Block`` objects per scheme.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.nand.block import Block
 from repro.nand.chip_types import ChipProfile
+from repro.nand.erase_model import BlockEraseModel
 from repro.nand.geometry import BlockAddress
 from repro.nand.rber import RberModel
 from repro.experiments.registry import SCHEMES
-from repro.kernels import BlockArrayState, resolve_kernel
+from repro.kernels import (
+    BlockArrayPopulation,
+    BlockArrayState,
+    resolve_kernel,
+)
 from repro.rng import derive, derive_rng
 from repro.telemetry.instruments import kernel_metrics
 
@@ -82,8 +94,44 @@ class LifetimeCurve:
         )
 
 
+_population_lock = threading.Lock()
+#: The last population built, as ``((profile, seed, block_count),
+#: population)``, or None.
+_population_memo: Optional[Tuple[tuple, BlockArrayPopulation]] = None
+
+
+def lifetime_population(
+    profile: ChipProfile, seed: int, block_count: int
+) -> BlockArrayPopulation:
+    """The block population every scheme of a sweep cycles (kernel engine).
+
+    Block ``i`` has the erase model of a ``Block`` at
+    ``BlockAddress(0, 0, 0, i)`` seeded ``derive(seed, "lifetime-block",
+    i)`` — the object path's block set. One entry is memoized: the
+    schemes of a sweep (possibly on threads) and repeated sweeps of
+    the same key share it, and its jitter matrix, read-only.
+    """
+    global _population_memo
+    key = (profile, seed, block_count)
+    with _population_lock:
+        if _population_memo is None or _population_memo[0] != key:
+            models = [
+                BlockEraseModel(
+                    profile, derive(seed, "lifetime-block", index),
+                    0, 0, 0, index,
+                )
+                for index in range(block_count)
+            ]
+            _population_memo = (key, BlockArrayPopulation(profile, models))
+        return _population_memo[1]
+
+
 class LifetimeSimulator:
-    """Cycles one block set with one erase scheme until failure."""
+    """Cycles one block set with one erase scheme until failure.
+
+    The object engine builds ``blocks``; the kernel engine reads the
+    shared :func:`lifetime_population` as ``population`` instead.
+    """
 
     def __init__(
         self,
@@ -116,16 +164,19 @@ class LifetimeSimulator:
         )
         self.rng = derive_rng(seed, "lifetime", scheme_key)
         self.seed = seed
-        self.blocks: List[Block] = [
-            Block(
-                address=BlockAddress(0, 0, 0, index),
-                profile=profile,
-                pages=8,
-                seed=derive(seed, "lifetime-block", index),
-            )
-            for index in range(block_count)
-        ]
         self.kernel = resolve_kernel(self.scheme, engine, scheme_name=scheme_key)
+        if self.kernel is not None:
+            self.population = lifetime_population(profile, seed, block_count)
+        else:
+            self.blocks: List[Block] = [
+                Block(
+                    address=BlockAddress(0, 0, 0, index),
+                    profile=profile,
+                    pages=8,
+                    seed=derive(seed, "lifetime-block", index),
+                )
+                for index in range(block_count)
+            ]
         #: Per-block extra MRBER from the last erase (DPES window).
         self._extra_rber: Dict[int, float] = {}
 
@@ -157,17 +208,18 @@ class LifetimeSimulator:
     def _run_kernel(self, max_pec: int, record_every: int) -> LifetimeCurve:
         """Vectorized run: one batch-kernel step per coarse erase.
 
-        The block array initializes from the same :class:`Block` set
-        (same seed derivation, same jitter streams), so schemes whose
-        ladder is deterministic in the required-work draw — baseline,
-        DPES, i-ISPE, m-ISPE — reproduce the object path's trajectory
+        The block array is a fresh wear state over the shared
+        population, whose erase models and jitter streams are those of
+        the object path's :class:`Block` set, so schemes whose ladder
+        is deterministic in the required-work draw — baseline, DPES,
+        i-ISPE, m-ISPE — reproduce the object path's trajectory
         exactly; AERO's verify-noise draws come from a kernel-local
         generator and match statistically.
         """
         curve = LifetimeCurve(
             scheme=self.scheme.name, requirement=float(self.requirement)
         )
-        state = BlockArrayState.from_blocks(self.blocks)
+        state = BlockArrayState(self.population)
         kernel_rng = derive_rng(self.seed, "lifetime", self.scheme_key, "kernel")
         extra_rber = np.zeros(state.count)
         batch_blocks = kernel_metrics().batch_blocks

@@ -8,7 +8,8 @@ Accessors are get-or-create and cheap — a couple of dict lookups —
 so call sites fetch handles at instrumentation *boundaries* (one store
 put, one finished cell, one completed replay) rather than caching
 global state at import time; injecting a fresh registry in a test
-immediately redirects every subsystem.
+immediately redirects every subsystem. The store's handles, fetched on
+every put and get, are bound once per registry and reused.
 
 Naming follows Prometheus conventions: ``repro_`` prefix, ``_total``
 counters, base-unit (seconds/bytes) histograms and gauges.
@@ -16,6 +17,7 @@ counters, base-unit (seconds/bytes) histograms and gauges.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -171,11 +173,28 @@ class StoreMetrics:
 STORE_BACKEND = "sharded"
 
 
+#: Store handles bound once per registry (a registry never drops a
+#: family, so its bound children stay valid for its whole life).
+_bound_store_metrics: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def store_metrics(
     registry: Optional[MetricsRegistry] = None,
 ) -> "_BoundStoreMetrics":
-    """Handles for the result store, ``backend="sharded"`` pre-applied."""
+    """Handles for the result store, ``backend="sharded"`` pre-applied.
+
+    Bound on a registry's first call and reused after, so a store put
+    or get costs one dict lookup here, not a dozen get-or-creates.
+    """
     reg = _registry(registry)
+    bound = _bound_store_metrics.get(reg)
+    if bound is None:
+        bound = _bind_store_metrics(reg)
+        _bound_store_metrics[reg] = bound
+    return bound
+
+
+def _bind_store_metrics(reg: MetricsRegistry) -> "_BoundStoreMetrics":
     labels = ("backend",)
     families = StoreMetrics(
         puts=reg.counter(

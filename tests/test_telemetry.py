@@ -489,6 +489,28 @@ def test_registry_lookups_do_not_scale_with_erases(engine):
     assert small_lookups == large_lookups
 
 
+def test_store_registry_lookups_do_not_scale_with_puts(tmp_path):
+    from repro.lifetime import LifetimeCurve
+
+    curve = LifetimeCurve(
+        scheme="baseline", pec_points=[0, 250], avg_mrber=[1.5, 2.5]
+    )
+    counts = {}
+    for puts in (3, 30):
+        registry = _CountingRegistry()
+        with scoped_registry(registry):
+            store = ShardedResultStore(tmp_path / f"store-{puts}")
+            for index in range(puts):
+                key = f"{index:064x}"
+                store.put(key, curve)
+                assert store.get(key) == curve
+            assert store.get(f"{puts:064x}") is None
+        counts[puts] = registry.lookups
+        puts_total = families_of(registry)["repro_store_puts_total"]
+        assert puts_total.value({"backend": "sharded"}) == puts
+    assert counts[3] == counts[30]
+
+
 def _erase_series(registry):
     families = families_of(registry)
     latency = families["repro_ssd_erase_latency_seconds"]
